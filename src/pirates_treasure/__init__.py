@@ -24,7 +24,6 @@ from .algebra import (
     sum_is_terminal,
     sum_legal_moves,
     sum_position,
-    sum_solve,
     solve_sum,
     sum_trees,
     tree_final_scores,
@@ -128,7 +127,6 @@ __all__ = [
     "sum_is_terminal",
     "sum_legal_moves",
     "sum_position",
-    "sum_solve",
     "sum_trees",
     "tree_final_scores",
     "tree_identical",

@@ -5,15 +5,16 @@ score plus the set of positions Left could move to and the set Right could
 move to, recursively.  Option sets ignore whose turn it actually is, so
 one tree answers both "Left starts" and "Right starts" questions.
 
-Sums are implemented twice on purpose: once directly on multi-board
-states (:func:`sum_solve`, fast) and once by the textbook recursion on
-trees (:func:`sum_trees`), with the test suite holding them equal.
+Sums are computed two independent ways on purpose.  :func:`solve_sum`
+plays the boards side by side as one disjoint-union board on the
+solver's single search kernel (fast); :func:`sum_trees` follows the
+textbook recursion on trees.  The test suite holds them equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .engine import (
     Move,
@@ -26,12 +27,10 @@ from .engine import (
 from .errors import BudgetExceededError
 from .model import Instance
 from .solver import (
-    _EXACT,
-    _LOWER,
-    _UPPER,
     DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
+    Search,
     classify,
 )
 
@@ -301,125 +300,9 @@ class SumReport:
     nodes_expanded: int
 
 
-class _SumSearch:
-    """Alpha-beta over tuples of packed component states."""
-
-    __slots__ = ("adj", "wt", "inf", "memo", "nodes", "budget")
-
-    def __init__(self, instances: Sequence[Instance], budget: int):
-        self.adj = [list(inst.graph.adjacency_bits) for inst in instances]
-        self.wt = []
-        total = 0
-        for inst in instances:
-            wt = [0] * inst.graph.vertex_count
-            for v, w in inst.weights.items():
-                wt[v] = w
-            self.wt.append(wt)
-            total += sum(abs(w) for w in wt)
-        self.inf = total + 1
-        self.memo: dict = {}
-        self.nodes = 0
-        self.budget = budget
-
-    def value(self, states, left_to_move, alpha, beta):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(self.budget, "sum solve")
-        moves = []
-        for ci in range(len(states)):
-            lships, rships, visited = states[ci]
-            ships = lships if left_to_move else rships
-            adj = self.adj[ci]
-            wt = self.wt[ci]
-            for si in range(len(ships)):
-                m = adj[ships[si]] & ~visited
-                while m:
-                    b = m & -m
-                    m ^= b
-                    to = b.bit_length() - 1
-                    moves.append((wt[to], ci, si, to, b))
-        if not moves:
-            return 0
-        key = (states, left_to_move)
-        entry = self.memo.get(key)
-        if entry is not None:
-            flag, v = entry
-            if flag == _EXACT:
-                return v
-            if flag == _LOWER:
-                if v >= beta:
-                    return v
-                if v > alpha:
-                    alpha = v
-            else:
-                if v <= alpha:
-                    return v
-                if v < beta:
-                    beta = v
-        alpha0, beta0 = alpha, beta
-        if len(moves) > 1:
-            moves.sort(key=lambda t: -t[0])
-        if left_to_move:
-            best = -self.inf
-        else:
-            best = self.inf
-        for w, ci, si, to, bit in moves:
-            lships, rships, visited = states[ci]
-            ships = lships if left_to_move else rships
-            if len(ships) == 1:
-                nt = (to,)
-            else:
-                tmp = list(ships)
-                tmp[si] = to
-                tmp.sort()
-                nt = tuple(tmp)
-            if left_to_move:
-                ns = (nt, rships, visited | bit)
-            else:
-                ns = (lships, nt, visited | bit)
-            child = states[:ci] + (ns,) + states[ci + 1 :]
-            if left_to_move:
-                v = w + self.value(child, False, alpha - w, beta - w)
-                if v > best:
-                    best = v
-                    if v > alpha:
-                        alpha = v
-                        if alpha >= beta:
-                            break
-            else:
-                v = -w + self.value(child, True, alpha + w, beta + w)
-                if v < best:
-                    best = v
-                    if v < beta:
-                        beta = v
-                        if alpha >= beta:
-                            break
-        if best <= alpha0:
-            flag = _UPPER
-        elif best >= beta0:
-            flag = _LOWER
-        else:
-            flag = _EXACT
-        self.memo[key] = (flag, best)
-        return best
-
-
-def _pack_component(pos: Position) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    visited = 0
-    for v in pos.visited:
-        visited |= 1 << v
-    return tuple(sorted(pos.left_ships)), tuple(sorted(pos.right_ships)), visited
-
-
-def _sum_value(search: _SumSearch, sp: SumPosition) -> int:
-    states = tuple(_pack_component(c) for c in sp.components)
-    delta = search.value(states, sp.to_move is Player.LEFT, -search.inf, search.inf)
-    return sp.score + delta
-
-
 def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
     """Scores, class and best first moves for a compound position."""
-    search = _SumSearch([c.instance for c in sp.components], budget)
+    search = Search([c.instance for c in sp.components], budget, what="sum solve")
     scores = []
     bests = []
     for first in (Player.LEFT, Player.RIGHT):
@@ -429,7 +312,10 @@ def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
             scores.append(root.score)
             bests.append(frozenset())
             continue
-        values = {sm: _sum_value(search, sum_apply(root, sm)) for sm in moves}
+        values = {}
+        for sm in moves:
+            child = sum_apply(root, sm)
+            values[sm] = search.final_score(child.components, child.to_move)
         score = max(values.values()) if first is Player.LEFT else min(values.values())
         scores.append(score)
         bests.append(frozenset(sm for sm, v in values.items() if v == score))
@@ -441,8 +327,3 @@ def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
         best_first_moves_right=bests[1],
         nodes_expanded=search.nodes,
     )
-
-
-def sum_solve(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
-    """Final scores of a compound position, both first movers."""
-    return solve_sum(sp, budget).final_scores

@@ -3,7 +3,7 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 when the
 command succeeds (and any checked claim holds), 1 when a verification
 sweep finds a violation, 2 on usage or input errors, 3 when a node
-budget runs out.
+budget runs out or a game runs deeper than the recursive search can go.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(
+            "error: game too long to search: it runs deeper than the recursion "
+            f"limit of {sys.getrecursionlimit()}",
+            file=sys.stderr,
+        )
         return 3
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,8 +156,16 @@ def validate(inst: Instance) -> list[str]:
     warnings = []
     negatives = sorted(v for v, w in inst.weights.items() if w < 0)
     if negatives:
-        warnings.append(f"negative treasure values at vertices {negatives}")
+        warnings.append(f"negative treasure values at vertices {_id_list(negatives)}")
     return warnings
+
+
+def _id_list(ids: list[int], shown: int = 8) -> str:
+    """``ids`` in list form, cut to the first ``shown`` plus a count."""
+    if len(ids) <= shown:
+        return str(ids)
+    head = ", ".join(map(str, ids[:shown]))
+    return f"[{head}, ...] ({len(ids)} in all)"
 
 
 def parse_instance(text: str) -> Instance:
@@ -248,7 +256,7 @@ def _parse_lines(text: str, require_roles: bool):
     if require_roles:
         missing = [v for v in range(vertex_count) if v not in roles]
         if missing:
-            raise ValidationError(f"no 'v' line for vertices {missing}")
+            raise ValidationError(f"no 'v' line for vertices {_id_list(missing)}")
     return vertex_count, weights, ships, edges, score
 
 

@@ -1,10 +1,18 @@
 """Exact play: final scores, outcome classes, best first moves, variations.
 
-The searcher runs alpha-beta over packed states (sorted ship tuples per
-player, plundered-set bitmask, side to move) with a bound-flagged
-transposition table.  Scores are factored out additively: table values are
-the optimal score still to come from a state, so transpositions reached at
-different running scores share one entry.
+Every exact answer comes from one searcher, :class:`Search`: alpha-beta
+with a bound-flagged transposition table over packed states (sorted ship
+tuple per player, plundered-set bitmask, side to move).  It is built from
+a sequence of boards laid side by side, which is again one board: their
+disjoint union, with the fleets merged.  A single board is the
+one-component case, and a disjunctive sum (:mod:`.algebra`) is just a
+larger, disconnected board.  Scores are factored out additively: table
+values are the optimal score still to come from a state, so
+transpositions reached at different running scores share one entry.
+
+Play conventions differ only in what a state with a stuck mover is worth.
+Scoring play gives 0; normal and misere play ignore treasure and give the
+stuck mover -1 or +1 from its own side (:mod:`.theory.conventions`).
 
 ``minimax_final_score`` is a deliberately plain exhaustive recursion kept
 as a reference implementation; the test suite holds the two routes equal.
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Player, Position, Move, initial_position, legal_moves, apply_move
 from .errors import BudgetExceededError
@@ -76,28 +84,79 @@ class SolveReport:
     nodes_expanded: int
 
 
-class _Search:
-    """Alpha-beta with a transposition table over one board."""
+class Search:
+    """Alpha-beta with a transposition table over boards laid side by side.
 
-    __slots__ = ("adj", "wt", "inf", "memo", "nodes", "budget")
+    Component ``i`` keeps its own vertex numbering, shifted up by the
+    vertex counts of the components before it.  A merged fleet is then
+    the concatenation of the components' sorted fleets, which is itself
+    sorted, so a state of the union packs exactly as the tuple of its
+    component states would.
 
-    def __init__(self, inst: Instance, budget: int):
-        n = inst.graph.vertex_count
-        self.adj = list(inst.graph.adjacency_bits)
-        wt = [0] * n
-        for v, w in inst.weights.items():
-            wt[v] = w
+    ``stuck`` is what the player to move gets, from its own side, when it
+    has no move: 0 in scoring play, -1 in normal play, +1 in misere play.
+    A nonzero ``stuck`` also makes all treasure, banked or not, worth 0.
+    """
+
+    __slots__ = ("adj", "wt", "terminal", "scored", "inf", "memo", "nodes", "budget", "what")
+
+    def __init__(
+        self,
+        instances: Iterable[Instance],
+        budget: int,
+        stuck: int = 0,
+        what: str = "solve",
+    ):
+        adj: list[int] = []
+        wt: list[int] = []
+        for inst in instances:
+            offset = len(adj)
+            bits = inst.graph.adjacency_bits
+            adj += [b << offset for b in bits] if offset else bits
+            values = [0] * inst.graph.vertex_count
+            if not stuck:
+                for v, w in inst.weights.items():
+                    values[v] = w
+            wt += values
+        self.adj = adj
         self.wt = wt
-        self.inf = sum(abs(w) for w in wt) + 1
+        # indexed by left_to_move: Right stuck, Left stuck
+        self.terminal = (-stuck, stuck)
+        self.scored = not stuck
+        self.inf = sum(abs(w) for w in wt) + abs(stuck) + 1
         self.memo: dict = {}
         self.nodes = 0
         self.budget = budget
+        self.what = what
+
+    def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
+        """Terminal score under best play from the positions side by side."""
+        lships, rships, visited = _union_state(positions)
+        return self._banked(positions) + self.value(
+            lships, rships, visited, to_move is Player.LEFT, -self.inf, self.inf
+        )
+
+    def left_wins(self, positions: Sequence[Position], to_move: Player) -> bool:
+        """Does Left force a positive final score?
+
+        Searches a zero-width window, which is much cheaper than an exact
+        value when only the sign matters.
+        """
+        banked = self._banked(positions)
+        lships, rships, visited = _union_state(positions)
+        bound = self.value(
+            lships, rships, visited, to_move is Player.LEFT, -banked, 1 - banked
+        )
+        return banked + bound > 0
+
+    def _banked(self, positions: Sequence[Position]) -> int:
+        return sum(p.score for p in positions) if self.scored else 0
 
     def value(self, lships, rships, visited, left_to_move, alpha, beta):
         """Optimal score still to come; exact within (alpha, beta)."""
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceededError(self.budget, "solve")
+            raise BudgetExceededError(self.budget, self.what)
         adj = self.adj
         wt = self.wt
         ships = lships if left_to_move else rships
@@ -109,7 +168,7 @@ class _Search:
                 m ^= b
                 moves.append((si, b.bit_length() - 1, b))
         if not moves:
-            return 0
+            return self.terminal[left_to_move]
         key = (lships, rships, visited, left_to_move)
         entry = self.memo.get(key)
         if entry is not None:
@@ -176,36 +235,47 @@ class _Search:
         return best
 
 
-def _pack(pos: Position) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _union_state(
+    positions: Sequence[Position],
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Packed (Left fleet, Right fleet, plundered mask) of boards side by side."""
+    lships: list[int] = []
+    rships: list[int] = []
     visited = 0
-    for v in pos.visited:
-        visited |= 1 << v
-    return tuple(sorted(pos.left_ships)), tuple(sorted(pos.right_ships)), visited
+    offset = 0
+    for pos in positions:
+        lships += [v + offset for v in pos.left_ships]
+        rships += [v + offset for v in pos.right_ships]
+        mask = 0
+        for v in pos.visited:
+            mask |= 1 << v
+        visited |= mask << offset
+        offset += pos.instance.graph.vertex_count
+    lships.sort()
+    rships.sort()
+    return tuple(lships), tuple(rships), visited
 
 
-def _position_value(search: _Search, pos: Position) -> int:
-    l, r, visited = _pack(pos)
-    return pos.score + search.value(
-        l, r, visited, pos.to_move is Player.LEFT, -search.inf, search.inf
-    )
+def _position_value(search: Search, pos: Position) -> int:
+    return search.final_score((pos,), pos.to_move)
 
 
 def left_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Terminal score under best play from ``pos`` with Left to move."""
     if pos.to_move is not Player.LEFT:
         raise ValueError("position must have Left to move")
-    return _position_value(_Search(pos.instance, budget), pos)
+    return _position_value(Search([pos.instance], budget), pos)
 
 
 def right_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Terminal score under best play from ``pos`` with Right to move."""
     if pos.to_move is not Player.RIGHT:
         raise ValueError("position must have Right to move")
-    return _position_value(_Search(pos.instance, budget), pos)
+    return _position_value(Search([pos.instance], budget), pos)
 
 
 def final_scores(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
-    search = _Search(inst, budget)
+    search = Search([inst], budget)
     return FinalScores(
         _position_value(search, initial_position(inst, Player.LEFT)),
         _position_value(search, initial_position(inst, Player.RIGHT)),
@@ -214,7 +284,7 @@ def final_scores(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScor
 
 def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     """Full report: both final scores, best first moves, variations."""
-    search = _Search(inst, budget)
+    search = Search([inst], budget)
     scores = []
     bests = []
     pvs = []
@@ -236,7 +306,7 @@ def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     )
 
 
-def _root_moves(search: _Search, root: Position) -> tuple[int, frozenset[Move]]:
+def _root_moves(search: Search, root: Position) -> tuple[int, frozenset[Move]]:
     """Exact value of every root move; returns (score, optimal move set)."""
     moves = legal_moves(root)
     if not moves:
@@ -249,7 +319,7 @@ def _root_moves(search: _Search, root: Position) -> tuple[int, frozenset[Move]]:
     return score, frozenset(m for m, v in values.items() if v == score)
 
 
-def _principal_variation(search: _Search, pos: Position) -> tuple[Move, ...]:
+def _principal_variation(search: Search, pos: Position) -> tuple[Move, ...]:
     """Optimal line, breaking ties by lowest (ship, target vertex)."""
     line = []
     while True:
@@ -269,16 +339,9 @@ def _principal_variation(search: _Search, pos: Position) -> tuple[Move, ...]:
 
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Decision form of the solver: does Left force a positive final score?
-
-    Runs the same search with a zero-width window, which is much faster
-    than an exact solve when only the sign matters.
-    """
-    search = _Search(inst, budget)
-    pos = initial_position(inst, Player.LEFT)
-    l, r, visited = _pack(pos)
-    bound = search.value(l, r, visited, True, -pos.score, 1 - pos.score)
-    return pos.score + bound > 0
+    """Decision form of the solver: does Left force a positive final score?"""
+    root = initial_position(inst, Player.LEFT)
+    return Search([inst], budget).left_wins((root,), Player.LEFT)
 
 
 def greedy_score(
@@ -342,7 +405,7 @@ def greedy_score(
         return result
 
     pos = initial_position(inst, first_player)
-    l, r, visited = _pack(pos)
+    l, r, visited = _union_state((pos,))
     return pos.score + rec(l, r, visited, first_player is Player.LEFT)
 
 
@@ -379,5 +442,5 @@ def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int
             return 0
         return max(results) if left_to_move else min(results)
 
-    l, r, visited = _pack(pos)
+    l, r, visited = _union_state((pos,))
     return pos.score + rec(l, r, visited, pos.to_move is Player.LEFT)

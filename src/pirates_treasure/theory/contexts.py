@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from ..errors import ValidationError
 from ..model import Graph, Instance
-from ..solver import DEFAULT_NODE_BUDGET, classify
-from ..algebra import sum_position, sum_solve
+from ..solver import DEFAULT_NODE_BUDGET
+from ..algebra import solve_sum, sum_position
 from ..engine import Player
 
 
@@ -48,8 +48,8 @@ def distinguish(
     decidable by finite search.
     """
     for context in pool:
-        g_class = classify(sum_solve(sum_position([g, context], Player.LEFT), budget))
-        h_class = classify(sum_solve(sum_position([h, context], Player.LEFT), budget))
+        g_class = solve_sum(sum_position([g, context], Player.LEFT), budget).outcome
+        h_class = solve_sum(sum_position([h, context], Player.LEFT), budget).outcome
         if g_class != h_class:
             return context
     return None

@@ -4,6 +4,12 @@ Normal play crowns whoever moves last; misere play the opposite; scoring
 play counts treasure.  All three run on the same positions here so their
 preferred first moves can be compared.  Agreement between conventions on
 particular boards is reported as an observation, nothing more.
+
+All three use the solver's one search kernel on the components laid side
+by side as a single board.  Normal and misere play differ from scoring
+play only in the value of a state whose mover is stuck: treasure counts
+for nothing, and the stuck mover gets -1 (normal) or +1 (misere) from its
+own side, so the sign of the searched value names the winner.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 from ..algebra import (
     SumMove,
     SumPosition,
-    _pack_component,
     solve_sum,
     sum_apply,
     sum_legal_moves,
@@ -21,7 +26,7 @@ from ..algebra import (
 )
 from ..engine import Player, Position
 from ..model import Instance
-from ..solver import DEFAULT_NODE_BUDGET, FinalScores, OutcomeClass
+from ..solver import DEFAULT_NODE_BUDGET, FinalScores, OutcomeClass, Search
 
 
 def _as_sum(state: Instance | Position | SumPosition, first: Player | None) -> SumPosition:
@@ -38,34 +43,44 @@ def _as_sum(state: Instance | Position | SumPosition, first: Player | None) -> S
     return sp
 
 
-def _mover_wins(sp: SumPosition, misere: bool, memo: dict) -> bool:
-    key = (tuple(_pack_component(c) for c in sp.components), sp.to_move)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    moves = sum_legal_moves(sp)
-    if not moves:
-        result = misere  # stuck: loses under normal play, wins under misere
-    else:
-        result = any(not _mover_wins(sum_apply(sp, m), misere, memo) for m in moves)
-    memo[key] = result
-    return result
+def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
+    return Search(
+        [c.instance for c in sp.components],
+        budget,
+        stuck=1 if misere else -1,
+        what="misere play" if misere else "normal play",
+    )
 
 
-def normal_outcome(state: Instance | Position | SumPosition, first: Player | None = None) -> Player:
+def _winner(search: Search, sp: SumPosition) -> Player:
+    return Player.LEFT if search.left_wins(sp.components, sp.to_move) else Player.RIGHT
+
+
+def normal_outcome(
+    state: Instance | Position | SumPosition,
+    first: Player | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Player:
     """Winner under optimal last-move-wins play, scores ignored."""
     sp = _as_sum(state, first)
-    return sp.to_move if _mover_wins(sp, False, {}) else sp.to_move.opponent
+    return _winner(_search(sp, False, budget), sp)
 
 
-def misere_outcome(state: Instance | Position | SumPosition, first: Player | None = None) -> Player:
+def misere_outcome(
+    state: Instance | Position | SumPosition,
+    first: Player | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> Player:
     """Winner under optimal last-move-loses play, scores ignored."""
     sp = _as_sum(state, first)
-    return sp.to_move if _mover_wins(sp, True, {}) else sp.to_move.opponent
+    return _winner(_search(sp, True, budget), sp)
 
 
 def convention_best_moves(
-    state: Instance | Position | SumPosition, misere: bool, first: Player | None = None
+    state: Instance | Position | SumPosition,
+    misere: bool,
+    first: Player | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> frozenset[SumMove]:
     """First moves optimal under the given convention.
 
@@ -73,12 +88,12 @@ def convention_best_moves(
     move is better than another, so all of them count as best.
     """
     sp = _as_sum(state, first)
-    memo: dict = {}
     moves = sum_legal_moves(sp)
     if not moves:
         return frozenset()
+    search = _search(sp, misere, budget)
     winning = frozenset(
-        m for m in moves if not _mover_wins(sum_apply(sp, m), misere, memo)
+        m for m in moves if _winner(search, sum_apply(sp, m)) is sp.to_move
     )
     return winning if winning else frozenset(moves)
 
@@ -127,10 +142,10 @@ def convention_comparison(
     misere_best = {}
     for first in (Player.LEFT, Player.RIGHT):
         rooted = SumPosition(sp.components, first)
-        normal_winner[first] = normal_outcome(rooted)
-        misere_winner[first] = misere_outcome(rooted)
-        normal_best[first] = convention_best_moves(rooted, misere=False)
-        misere_best[first] = convention_best_moves(rooted, misere=True)
+        normal_winner[first] = normal_outcome(rooted, budget=budget)
+        misere_winner[first] = misere_outcome(rooted, budget=budget)
+        normal_best[first] = convention_best_moves(rooted, misere=False, budget=budget)
+        misere_best[first] = convention_best_moves(rooted, misere=True, budget=budget)
     return ConventionReport(
         scoring_final=scoring.final_scores,
         scoring_outcome=scoring.outcome,

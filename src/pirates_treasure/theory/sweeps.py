@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .. import fixtures
-from ..algebra import negate_instance, sum_position, sum_solve
+from ..algebra import negate_instance, solve_sum, sum_position
 from ..engine import Player
 from ..model import Graph, serialize_graph, serialize_instance
 from ..solver import (
@@ -243,7 +243,7 @@ def _table_item(item) -> Violation | None:
     cell = outcome_table_cell(class_a, class_b)
     if cell is None:
         return Violation(text, "summands on the table", f"{class_a} + {class_b}")
-    got = classify(sum_solve(sum_position([a, b], Player.LEFT), budget))
+    got = solve_sum(sum_position([a, b], Player.LEFT), budget).outcome
     if got not in cell:
         allowed = "/".join(sorted(c.value for c in cell))
         return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
@@ -280,7 +280,7 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
         for mirrored in (False, True):
             comps = [negate_instance(c) for c in components] if mirrored else components
             summand_classes = [classify(final_scores(c, budget)) for c in comps]
-            got = classify(sum_solve(sum_position(comps, Player.LEFT), budget))
+            got = solve_sum(sum_position(comps, Player.LEFT), budget).outcome
             key = tuple(sorted(c.value for c in summand_classes))
             observed.setdefault(key, set()).add(got)
             checked += 1
@@ -311,7 +311,7 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 def _self_sum_item(item) -> Violation | None:
     inst, budget = item
     mirrored = negate_instance(inst)
-    got = classify(sum_solve(sum_position([inst, mirrored], Player.LEFT), budget))
+    got = solve_sum(sum_position([inst, mirrored], Player.LEFT), budget).outcome
     if got is OutcomeClass.TIE:
         return None
     return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
@@ -367,7 +367,8 @@ def _distinguishing_item(item) -> Violation | None:
     inst = random_pt_instance(rng.randint(3, max_n), rng, require_left_move=True)
     context = distinguishing_context(inst)
     alone = final_scores(context, budget).left_first
-    summed = sum_solve(sum_position([inst, context], Player.LEFT), budget).left_first
+    summed = solve_sum(sum_position([inst, context], Player.LEFT), budget)
+    summed = summed.final_scores.left_first
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     if sign(alone) != sign(summed):
         return None

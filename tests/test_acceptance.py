@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 
-from pirates_treasure.algebra import sum_position, sum_solve
+from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.engine import Move, Player, apply_move, initial_position, is_terminal
 from pirates_treasure.fixtures import (
     TAB_CASES,
@@ -137,11 +137,11 @@ def test_05_figure_boards_and_outcome_table():
         failures.append("fig_ex")
     if classify(solve(fig_ex1()).final_scores) is not OutcomeClass.N:
         failures.append("fig_ex1")
-    if classify(sum_solve(sum_position(fig_add_components(), L))) is not OutcomeClass.R:
+    if classify(solve_sum(sum_position(fig_add_components(), L)).final_scores) is not OutcomeClass.R:
         failures.append("fig_add")
     for case in sorted(TAB_CASES):
         instances, expected = tab_case(case)
-        if classify(sum_solve(sum_position(instances, L))) is not expected:
+        if classify(solve_sum(sum_position(instances, L)).final_scores) is not expected:
             failures.append(f"tab_{case}")
     boards_checked = 3 + len(TAB_CASES)
     witnesses = check_table_witnesses()

@@ -15,7 +15,6 @@ from pirates_treasure.algebra import (
     sum_is_terminal,
     sum_legal_moves,
     sum_position,
-    sum_solve,
     sum_trees,
     tree_final_scores,
     tree_identical,
@@ -133,7 +132,7 @@ def test_sum_routes_agree(case):
 
 def test_single_component_sum_equals_direct_solve():
     inst = fig_ex()
-    assert sum_solve(sum_position([inst], L)) == final_scores(inst)
+    assert solve_sum(sum_position([inst], L)).final_scores == final_scores(inst)
 
 
 def test_empty_sum_is_the_zero_game():
@@ -147,7 +146,7 @@ def test_board_plus_mirror_ties():
     for builder in (fig_half, fig_ex, _three_path):
         inst = builder()
         sp = sum_position([inst, negate_instance(inst)], L)
-        assert sum_solve(sp) == FinalScores(0, 0)
+        assert solve_sum(sp).final_scores == FinalScores(0, 0)
 
 
 def test_sum_position_mechanics():
@@ -176,7 +175,7 @@ def test_sum_terminal_cuts_off_remaining_piles():
     # so Left's waiting piles never get collected.
     sp = sum_position([_left_edge(), _left_edge()], R)
     assert sum_is_terminal(sp)
-    assert sum_solve(sum_position([_left_edge(), _left_edge()], L)).right_first == 0
+    assert solve_sum(sum_position([_left_edge(), _left_edge()], L)).final_scores.right_first == 0
 
 
 def test_extract_tree_budget():

@@ -168,3 +168,16 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve"])  # missing file argument
     assert exc.value.code == 2
+
+
+def test_game_deeper_than_the_recursion_limit_exits_three(capsys, tmp_path):
+    n = 3000
+    lines = [f"vertices {n}", "v 0 ship L", f"v {n - 1} ship R"]
+    lines += [f"v {v} value 1" for v in range(1, n - 1)]
+    lines += [f"e {v} {v + 1}" for v in range(n - 1)]
+    board = tmp_path / "long_path.pt"
+    board.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", str(board))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

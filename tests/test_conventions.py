@@ -1,16 +1,28 @@
 from __future__ import annotations
 
-from pirates_treasure.algebra import sum_position
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pirates_treasure.algebra import (
+    SumPosition,
+    sum_apply,
+    sum_legal_moves,
+    sum_position,
+)
 from pirates_treasure.engine import Move, Player
+from pirates_treasure.errors import BudgetExceededError
 from pirates_treasure.fixtures import (
     _three_path,
     fig_add_b,
     fig_add_components,
+    fig_ex,
     fig_half,
     fig_mis_components,
 )
+from pirates_treasure.model import random_instance
 from pirates_treasure.solver import FinalScores, OutcomeClass
 from pirates_treasure.theory import (
+    convention_best_moves,
     convention_comparison,
     misere_outcome,
     normal_outcome,
@@ -78,3 +90,103 @@ def test_comparison_accepts_a_bare_instance():
     report = convention_comparison(fig_half())
     assert report.normal_winner[L] is L
     assert report.scoring_final == FinalScores(1, 0)
+
+
+def test_convention_searches_honor_the_node_budget():
+    with pytest.raises(BudgetExceededError):
+        normal_outcome(fig_ex(), budget=1)
+    with pytest.raises(BudgetExceededError):
+        misere_outcome(fig_ex(), budget=1)
+    with pytest.raises(BudgetExceededError):
+        convention_best_moves(fig_ex(), misere=False, budget=1)
+
+
+def test_comparison_passes_its_budget_to_the_convention_searches(monkeypatch):
+    from pirates_treasure.theory import conventions
+
+    seen = []
+    for name in ("normal_outcome", "misere_outcome", "convention_best_moves"):
+        real = getattr(conventions, name)
+
+        def spy(*args, _real=real, **kwargs):
+            seen.append(kwargs.get("budget"))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(conventions, name, spy)
+    convention_comparison(fig_ex(), budget=12345)
+    assert seen == [12345] * 8
+
+
+# ---------------------------------------------------------------------------
+# Differential check against a plain win/loss recursion on positions
+
+
+def _reference_mover_wins(sp: SumPosition, misere: bool, memo: dict) -> bool:
+    key = (
+        tuple(
+            (tuple(sorted(c.left_ships)), tuple(sorted(c.right_ships)), c.visited)
+            for c in sp.components
+        ),
+        sp.to_move,
+    )
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    moves = sum_legal_moves(sp)
+    if not moves:
+        result = misere  # stuck: loses under normal play, wins under misere
+    else:
+        result = any(
+            not _reference_mover_wins(sum_apply(sp, m), misere, memo) for m in moves
+        )
+    memo[key] = result
+    return result
+
+
+def _reference_winner(sp: SumPosition, misere: bool) -> Player:
+    return sp.to_move if _reference_mover_wins(sp, misere, {}) else sp.to_move.opponent
+
+
+def _reference_best_moves(sp: SumPosition, misere: bool) -> frozenset:
+    moves = sum_legal_moves(sp)
+    memo: dict = {}
+    winning = frozenset(
+        m for m in moves if not _reference_mover_wins(sum_apply(sp, m), misere, memo)
+    )
+    return winning if winning else frozenset(moves)
+
+
+@st.composite
+def small_sums(draw):
+    """1-3 small boards side by side, a few random moves into the game."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 5))
+        left = draw(st.integers(0, min(2, n - 1)))
+        right = draw(st.integers(0, min(1, n - left)))
+        comps.append(
+            random_instance(
+                vertex_count=n,
+                edge_probability=draw(st.integers(20, 95)) / 100,
+                weight_range=(-2, 3),
+                left_ships=left,
+                right_ships=right,
+                seed=draw(st.integers(0, 10_000)),
+            )
+        )
+    sp = sum_position(comps, draw(st.sampled_from([L, R])))
+    for _ in range(draw(st.integers(0, 3))):
+        moves = sum_legal_moves(sp)
+        if not moves:
+            break
+        sp = sum_apply(sp, moves[draw(st.integers(0, len(moves) - 1))])
+    return sp
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_sums())
+def test_convention_verdicts_match_the_reference_recursion(sp):
+    assert normal_outcome(sp) is _reference_winner(sp, misere=False)
+    assert misere_outcome(sp) is _reference_winner(sp, misere=True)
+    for misere in (False, True):
+        assert convention_best_moves(sp, misere) == _reference_best_moves(sp, misere)

@@ -10,7 +10,7 @@ from pirates_treasure.fixtures import (
     fig_mis_components,
     tab_case,
 )
-from pirates_treasure.algebra import sum_position, sum_solve
+from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.model import parse_instance, serialize_instance, validate
 from pirates_treasure.solver import OutcomeClass, classify, final_scores
 
@@ -39,7 +39,7 @@ def test_fixture_names_cover_the_tab_cases():
 @pytest.mark.parametrize("case", sorted(TAB_CASES))
 def test_tab_case_sums_hit_their_published_class(case):
     instances, expected = tab_case(case)
-    fs = sum_solve(sum_position(instances, Player.LEFT))
+    fs = solve_sum(sum_position(instances, Player.LEFT)).final_scores
     assert classify(fs) is expected
 
 

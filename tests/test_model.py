@@ -205,3 +205,24 @@ def test_random_instance_rejects_bad_args():
         random_instance(2, 0.5, (1, 2), 2, 1, seed=0)
     with pytest.raises(ValidationError):
         random_instance(4, 0.5, (3, 1), 1, 1, seed=0)
+
+
+def test_missing_vertex_list_is_cut_short():
+    with pytest.raises(ValidationError) as exc:
+        parse_instance("vertices 200000")
+    message = str(exc.value)
+    assert len(message) < 200
+    assert "[0, 1, 2" in message and "200000 in all" in message
+
+
+def test_short_missing_vertex_list_stays_whole():
+    with pytest.raises(ValidationError, match=r"no 'v' line for vertices \[1, 2\]$"):
+        parse_instance("vertices 3\nv 0 ship L\n")
+
+
+def test_negative_values_warning_is_cut_short():
+    n = 5000
+    inst = Instance(Graph(n, frozenset()), {v: -1 for v in range(1, n)}, (0,), ())
+    (warning,) = validate(inst)
+    assert len(warning) < 200
+    assert f"{n - 1} in all" in warning

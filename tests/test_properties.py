@@ -15,8 +15,8 @@ from pirates_treasure.algebra import (
     negate_instance,
     negate_tree,
     shift_tree,
+    solve_sum,
     sum_position,
-    sum_solve,
     sum_trees,
     tree_final_scores,
     tree_identical,
@@ -146,14 +146,14 @@ def test_tree_sum_commutes_and_matches_state_sum(a, b):
     ta = extract_tree(initial_position(a, L))
     tb = extract_tree(initial_position(b, L))
     assert tree_identical(sum_trees(ta, tb), sum_trees(tb, ta))
-    assert tree_final_scores(sum_trees(ta, tb)) == sum_solve(sum_position([a, b], L))
+    assert tree_final_scores(sum_trees(ta, tb)) == solve_sum(sum_position([a, b], L)).final_scores
 
 
 @SETTINGS
 @given(boards(max_vertices=5))
 def test_board_plus_its_mirror_ties(inst):
     sp = sum_position([inst, negate_instance(inst)], L)
-    assert sum_solve(sp) == FinalScores(0, 0)
+    assert solve_sum(sp).final_scores == FinalScores(0, 0)
 
 
 @SETTINGS

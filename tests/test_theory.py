@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pirates_treasure.algebra import sum_position, sum_solve
+from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.engine import Player, initial_position, legal_moves
 from pirates_treasure.errors import BudgetExceededError, ValidationError
 from pirates_treasure.fixtures import _three_path, fig_add_b, fig_ex, fig_half, mirrored_half
@@ -231,7 +231,7 @@ def test_context_needs_a_left_ship():
 def test_context_flips_left_first_sign():
     half = fig_half()
     assert final_scores(half).left_first == 1
-    summed = sum_solve(sum_position([half, distinguishing_context(half)], L))
+    summed = solve_sum(sum_position([half, distinguishing_context(half)], L)).final_scores
     assert summed == (-2, -3)
 
 
@@ -247,7 +247,7 @@ def test_distinguish_returns_none_when_pool_cannot_separate():
     empty = Instance(Graph(0, frozenset()), {}, (), ())
     ctx = distinguishing_context(fig_half())
     assert distinguish(fig_half(), empty, [ctx]) is None
-    both = sum_solve(sum_position([fig_half(), ctx], L))
+    both = solve_sum(sum_position([fig_half(), ctx], L)).final_scores
     alone = final_scores(ctx)
     assert classify(both) is classify(alone)
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
