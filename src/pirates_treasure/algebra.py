@@ -32,6 +32,7 @@ from .solver import (
     OutcomeClass,
     Search,
     classify,
+    move_values,
 )
 
 DEFAULT_EXPANSION_BUDGET = 1_000_000
@@ -306,19 +307,14 @@ def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
     scores = []
     bests = []
     for first in (Player.LEFT, Player.RIGHT):
-        root = SumPosition(sp.components, first)
-        moves = sum_legal_moves(root)
-        if not moves:
-            scores.append(root.score)
+        values = move_values(sp.components, first, search.final_score)
+        if not values:
+            scores.append(sp.score)
             bests.append(frozenset())
             continue
-        values = {}
-        for sm in moves:
-            child = sum_apply(root, sm)
-            values[sm] = search.final_score(child.components, child.to_move)
-        score = max(values.values()) if first is Player.LEFT else min(values.values())
+        score = (max if first is Player.LEFT else min)(v for _, v in values)
         scores.append(score)
-        bests.append(frozenset(sm for sm, v in values.items() if v == score))
+        bests.append(frozenset(sm for sm, v in values if v == score))
     final = FinalScores(scores[0], scores[1])
     return SumReport(
         final_scores=final,

@@ -32,7 +32,7 @@ from .model import (
     serialize_instance,
     validate,
 )
-from .solver import DEFAULT_NODE_BUDGET, solve
+from .solver import DEFAULT_NODE_BUDGET, classify, final_scores, solve
 from .theory import (
     check_no_n_positions,
     check_no_p_positions,
@@ -203,8 +203,7 @@ def _pv_text(pos: Position, line) -> str:
 
 def _cmd_classify(args) -> int:
     inst = _load_instance(args.file)
-    report = solve(inst, args.max_nodes)
-    print(report.outcome)
+    print(classify(final_scores(inst, budget=args.max_nodes)))
     return 0
 
 

@@ -20,11 +20,11 @@ as a reference implementation; the test suite holds the two routes equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .engine import Player, Position, Move, initial_position, legal_moves, apply_move
+from .engine import Player, Position, Move, initial_position, moves_for, apply_move
 from .errors import BudgetExceededError
 from .model import Instance
 
@@ -256,29 +256,31 @@ def _union_state(
     return tuple(lships), tuple(rships), visited
 
 
-def _position_value(search: Search, pos: Position) -> int:
-    return search.final_score((pos,), pos.to_move)
-
-
 def left_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Terminal score under best play from ``pos`` with Left to move."""
     if pos.to_move is not Player.LEFT:
         raise ValueError("position must have Left to move")
-    return _position_value(Search([pos.instance], budget), pos)
+    return Search([pos.instance], budget).final_score((pos,), pos.to_move)
 
 
 def right_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Terminal score under best play from ``pos`` with Right to move."""
     if pos.to_move is not Player.RIGHT:
         raise ValueError("position must have Right to move")
-    return _position_value(Search([pos.instance], budget), pos)
+    return Search([pos.instance], budget).final_score((pos,), pos.to_move)
 
 
-def final_scores(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
-    search = Search([inst], budget)
-    return FinalScores(
-        _position_value(search, initial_position(inst, Player.LEFT)),
-        _position_value(search, initial_position(inst, Player.RIGHT)),
+def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
+    """Final scores under best play, Left first and Right first.
+
+    Several boards are played side by side as one sum; one board is the
+    one-component case.  Cheaper than :func:`solve` or a sum report when
+    only the scores or the class are wanted: no first move is valued.
+    """
+    search = Search(boards, budget)
+    return FinalScores._make(
+        search.final_score([initial_position(b, first) for b in boards], first)
+        for first in (Player.LEFT, Player.RIGHT)
     )
 
 
@@ -306,34 +308,44 @@ def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     )
 
 
+def move_values(
+    positions: Sequence[Position], to_move: Player, evaluate: Callable
+) -> list[tuple[tuple[int, Move], Any]]:
+    """Value of every move from the boards side by side, in generation order.
+
+    A move is (component index, move on that component).  ``evaluate`` is
+    a search method such as ``Search.final_score`` or ``Search.left_wins``;
+    it gets the child's boards and the opponent to move.
+    """
+    positions = tuple(positions)
+    out = []
+    for ci, pos in enumerate(positions):
+        mover = replace(pos, to_move=to_move)
+        for m in moves_for(pos, to_move):
+            child = positions[:ci] + (apply_move(mover, m),) + positions[ci + 1 :]
+            out.append(((ci, m), evaluate(child, to_move.opponent)))
+    return out
+
+
 def _root_moves(search: Search, root: Position) -> tuple[int, frozenset[Move]]:
     """Exact value of every root move; returns (score, optimal move set)."""
-    moves = legal_moves(root)
-    if not moves:
+    values = move_values((root,), root.to_move, search.final_score)
+    if not values:
         return root.score, frozenset()
-    values = {m: _position_value(search, apply_move(root, m)) for m in moves}
-    if root.to_move is Player.LEFT:
-        score = max(values.values())
-    else:
-        score = min(values.values())
-    return score, frozenset(m for m, v in values.items() if v == score)
+    score = (max if root.to_move is Player.LEFT else min)(v for _, v in values)
+    return score, frozenset(m for (_, m), v in values if v == score)
 
 
 def _principal_variation(search: Search, pos: Position) -> tuple[Move, ...]:
     """Optimal line, breaking ties by lowest (ship, target vertex)."""
     line = []
     while True:
-        moves = legal_moves(pos)
-        if not moves:
+        values = move_values((pos,), pos.to_move, search.final_score)
+        if not values:
             return tuple(line)
-        best_move = None
-        best_val = 0
-        for m in moves:  # generation order = tie-break order
-            v = _position_value(search, apply_move(pos, m))
-            if best_move is None or (
-                v > best_val if pos.to_move is Player.LEFT else v < best_val
-            ):
-                best_move, best_val = m, v
+        # generation order is tie-break order; max and min keep the first
+        pick = max if pos.to_move is Player.LEFT else min
+        (_, best_move), _ = pick(values, key=lambda mv: mv[1])
         line.append(best_move)
         pos = apply_move(pos, best_move)
 

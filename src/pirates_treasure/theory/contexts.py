@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from ..errors import ValidationError
 from ..model import Graph, Instance
-from ..solver import DEFAULT_NODE_BUDGET
-from ..algebra import solve_sum, sum_position
-from ..engine import Player
+from ..solver import DEFAULT_NODE_BUDGET, classify, final_scores
 
 
 def distinguishing_context(g_inst: Instance) -> Instance:
@@ -48,8 +46,8 @@ def distinguish(
     decidable by finite search.
     """
     for context in pool:
-        g_class = solve_sum(sum_position([g, context], Player.LEFT), budget).outcome
-        h_class = solve_sum(sum_position([h, context], Player.LEFT), budget).outcome
+        g_class = classify(final_scores(g, context, budget=budget))
+        h_class = classify(final_scores(h, context, budget=budget))
         if g_class != h_class:
             return context
     return None

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra import (
-    SumMove,
-    SumPosition,
-    solve_sum,
-    sum_apply,
-    sum_legal_moves,
-    sum_position,
-)
+from ..algebra import SumMove, SumPosition, solve_sum, sum_position
 from ..engine import Player, Position
 from ..model import Instance
-from ..solver import DEFAULT_NODE_BUDGET, FinalScores, OutcomeClass, Search
+from ..solver import (
+    DEFAULT_NODE_BUDGET,
+    FinalScores,
+    OutcomeClass,
+    Search,
+    move_values,
+)
 
 
 def _as_sum(state: Instance | Position | SumPosition, first: Player | None) -> SumPosition:
@@ -88,14 +87,11 @@ def convention_best_moves(
     move is better than another, so all of them count as best.
     """
     sp = _as_sum(state, first)
-    moves = sum_legal_moves(sp)
-    if not moves:
-        return frozenset()
     search = _search(sp, misere, budget)
-    winning = frozenset(
-        m for m in moves if _winner(search, sum_apply(sp, m)) is sp.to_move
-    )
-    return winning if winning else frozenset(moves)
+    values = move_values(sp.components, sp.to_move, search.left_wins)
+    mover_is_left = sp.to_move is Player.LEFT
+    winning = frozenset(m for m, left_wins in values if left_wins == mover_is_left)
+    return winning if winning else frozenset(m for m, _ in values)
 
 
 @dataclass(frozen=True)

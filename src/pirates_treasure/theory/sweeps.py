@@ -1,10 +1,20 @@
 """Bulk verification sweeps over instance families.
 
-Each sweep checks one structural claim across an exhaustive family, a
-seeded random family, or both, and returns a :class:`SweepReport` with
-every counterexample found.  Sweeps are deterministic for fixed
-parameters, and splitting the work across processes never changes the
-result, only the wall time.
+Each sweep checks one structural claim on every item of a list and
+returns a :class:`SweepReport` with every counterexample found.  One
+runner, :func:`_sweep`, applies a module-level check to the items, in
+this process or over one process pool, keeps the violations in item
+order and builds the report, so splitting the work never changes the
+result, only the wall time.  Sweeps are deterministic for fixed
+parameters.
+
+The uniform-value claims (no P positions when every pile is worth x > 0,
+no N positions at -x, a board plus its mirror ties) share one driver,
+:func:`_uniform_sweep`: the exhaustive boards come first, then the seeded
+draws, each drawn inside the worker from ``Random(seed + i)``, and one
+per-board check decides each of them.  Checks that need only a class or
+a score ask :func:`~pirates_treasure.solver.final_scores` for the two
+scores of the boards side by side, never for a full report.
 """
 
 from __future__ import annotations
@@ -12,12 +22,13 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .. import fixtures
-from ..algebra import negate_instance, solve_sum, sum_position
-from ..engine import Player
-from ..model import Graph, serialize_graph, serialize_instance
+from ..algebra import negate_instance
+from ..errors import ValidationError
+from ..model import Graph, Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     OutcomeClass,
@@ -70,17 +81,28 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _run(items: Sequence, worker: Callable, jobs: int) -> list:
-    """Apply worker to every item, optionally across processes.
+def _sweep(
+    name: str, check: Callable, items: Sequence, jobs: int, params: dict
+) -> SweepReport:
+    """Apply ``check`` to every item, optionally across one process pool.
 
-    Results come back in item order whatever the job count, so reports
-    are identical for any ``jobs``.
+    ``check`` returns a :class:`Violation` or None.  Results come back in
+    item order whatever the job count, so reports are identical for any
+    ``jobs``.
     """
     if jobs <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunksize = max(1, len(items) // (jobs * 8))
-        return list(pool.map(worker, items, chunksize=chunksize))
+        results = [check(item) for item in items]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunksize = max(1, len(items) // (jobs * 8))
+            results = list(pool.map(check, items, chunksize=chunksize))
+    violations = [r for r in results if r is not None]
+    return SweepReport(name, len(items), violations, params)
+
+
+def _require_positive(x: int) -> None:
+    if x <= 0:
+        raise ValidationError(f"uniform pile value x must be positive, got {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +130,56 @@ def check_reduction_sweep(
             edges = tuple(sorted(g.edges))
             for left_start in range(n):
                 items.append((n, edges, left_start, budget))
-    results = _run(items, _reduction_item, jobs)
-    return SweepReport(
-        "reduction",
-        len(items),
-        [r for r in results if r is not None],
-        {"max_n": max_n},
-    )
+    return _sweep("reduction", _reduction_item, items, jobs, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------
-# Uniform-value families: forbidden outcome classes
+# Uniform-value families: one driver, one check per board
 
 
-def _forbidden_class_item(item) -> Violation | None:
-    inst, forbidden, budget = item
-    got = classify(final_scores(inst, budget))
+def _uniform_item(item) -> Violation | None:
+    """Check one uniform board, drawing it first when the item is a seed."""
+    board_check, budget, board = item
+    if not isinstance(board, Instance):
+        seed, max_n, value = board
+        rng = random.Random(seed)
+        board = random_ptx_instance(rng.randint(2, max_n), value, rng)
+    return board_check(board, budget)
+
+
+def _uniform_sweep(
+    name, board_check, x, sign, max_exhaustive_n, random_trials, random_max_n,
+    seed, jobs, budget,
+) -> SweepReport:
+    """Every board of the family worth ``sign * x`` up to ``max_exhaustive_n``
+    vertices, then ``random_trials`` seeded draws, through one runner."""
+    _require_positive(x)
+    enumerate_family = enumerate_ptx if sign > 0 else enumerate_pt_negx
+    boards: list = [
+        inst for n in range(2, max_exhaustive_n + 1) for inst in enumerate_family(n, x)
+    ]
+    exhaustive = len(boards)
+    boards += [(seed + i, random_max_n, sign * x) for i in range(random_trials)]
+    items = [(board_check, budget, board) for board in boards]
+    params = dict(
+        max_exhaustive_n=max_exhaustive_n, x=x, exhaustive=exhaustive,
+        random_trials=random_trials, random_max_n=random_max_n, seed=seed,
+    )
+    return _sweep(name, _uniform_item, items, jobs, params)
+
+
+def _class_is_not(forbidden: OutcomeClass, inst: Instance, budget: int) -> Violation | None:
+    got = classify(final_scores(inst, budget=budget))
     if got is forbidden:
         return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
     return None
 
 
-def _forbidden_class_random_item(item) -> Violation | None:
-    seed, max_n, value, forbidden, budget = item
-    rng = random.Random(seed)
-    inst = random_ptx_instance(rng.randint(2, max_n), value, rng)
-    return _forbidden_class_item((inst, forbidden, budget))
+def _ties_with_mirror(inst: Instance, budget: int) -> Violation | None:
+    got = classify(final_scores(inst, negate_instance(inst), budget=budget))
+    if got is OutcomeClass.TIE:
+        return None
+    return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
 
 
 def check_no_p_positions(
@@ -146,9 +192,9 @@ def check_no_p_positions(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """Uniform positive piles: the second player never wins outright."""
-    return _forbidden_class_sweep(
-        "pt-x", x, OutcomeClass.P, max_exhaustive_n, random_trials, random_max_n,
-        seed, jobs, budget,
+    return _uniform_sweep(
+        "pt-x", partial(_class_is_not, OutcomeClass.P), x, 1, max_exhaustive_n,
+        random_trials, random_max_n, seed, jobs, budget,
     )
 
 
@@ -162,41 +208,25 @@ def check_no_n_positions(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """Uniform negative piles: the first player never wins outright."""
-    return _forbidden_class_sweep(
-        "pt-negx", -x, OutcomeClass.N, max_exhaustive_n, random_trials, random_max_n,
-        seed, jobs, budget,
+    return _uniform_sweep(
+        "pt-negx", partial(_class_is_not, OutcomeClass.N), x, -1, max_exhaustive_n,
+        random_trials, random_max_n, seed, jobs, budget,
     )
 
 
-def _forbidden_class_sweep(
-    name, value, forbidden, max_exhaustive_n, random_trials, random_max_n,
-    seed, jobs, budget,
+def check_self_sum_tie(
+    max_exhaustive_n: int = 4,
+    x: int = 1,
+    random_trials: int = 1000,
+    random_max_n: int = 7,
+    seed: int = 104,
+    jobs: int = 1,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
-    if value == 0:
-        raise ValueError("uniform value must be nonzero")
-    enumerate_family = enumerate_ptx if value > 0 else enumerate_pt_negx
-    items: list = []
-    for n in range(2, max_exhaustive_n + 1):
-        for inst in enumerate_family(n, abs(value)):
-            items.append((inst, forbidden, budget))
-    exhaustive = len(items)
-    results = list(_run(items, _forbidden_class_item, jobs))
-    random_items = [
-        (seed + i, random_max_n, value, forbidden, budget) for i in range(random_trials)
-    ]
-    results.extend(_run(random_items, _forbidden_class_random_item, jobs))
-    return SweepReport(
-        name,
-        exhaustive + random_trials,
-        [r for r in results if r is not None],
-        {
-            "max_exhaustive_n": max_exhaustive_n,
-            "x": abs(value),
-            "exhaustive": exhaustive,
-            "random_trials": random_trials,
-            "random_max_n": random_max_n,
-            "seed": seed,
-        },
+    """Any uniform board plus its own mirror plays to a dead tie."""
+    return _uniform_sweep(
+        "self-sum", _ties_with_mirror, x, 1, max_exhaustive_n,
+        random_trials, random_max_n, seed, jobs, budget,
     )
 
 
@@ -237,13 +267,13 @@ def _table_item(item) -> Violation | None:
     rng = random.Random(seed)
     a = random_ptx_instance(rng.randint(2, max_component_n), x, rng)
     b = random_ptx_instance(rng.randint(2, max_component_n), x, rng)
-    class_a = classify(final_scores(a, budget))
-    class_b = classify(final_scores(b, budget))
+    class_a = classify(final_scores(a, budget=budget))
+    class_b = classify(final_scores(b, budget=budget))
     text = serialize_instance(a) + "+\n" + serialize_instance(b)
     cell = outcome_table_cell(class_a, class_b)
     if cell is None:
         return Violation(text, "summands on the table", f"{class_a} + {class_b}")
-    got = solve_sum(sum_position([a, b], Player.LEFT), budget).outcome
+    got = classify(final_scores(a, b, budget=budget))
     if got not in cell:
         allowed = "/".join(sorted(c.value for c in cell))
         return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
@@ -259,14 +289,10 @@ def check_outcome_table(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """Random uniform-board pairs: the sum's class stays inside its cell."""
+    _require_positive(x)
     items = [(seed + i, max_component_n, x, budget) for i in range(trials)]
-    results = _run(items, _table_item, jobs)
-    return SweepReport(
-        "table",
-        trials,
-        [r for r in results if r is not None],
-        {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed},
-    )
+    params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
+    return _sweep("table", _table_item, items, jobs, params)
 
 
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
@@ -279,8 +305,8 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
         components = [b() for b in builders]
         for mirrored in (False, True):
             comps = [negate_instance(c) for c in components] if mirrored else components
-            summand_classes = [classify(final_scores(c, budget)) for c in comps]
-            got = solve_sum(sum_position(comps, Player.LEFT), budget).outcome
+            summand_classes = [classify(final_scores(c, budget=budget)) for c in comps]
+            got = classify(final_scores(*comps, budget=budget))
             key = tuple(sorted(c.value for c in summand_classes))
             observed.setdefault(key, set()).add(got)
             checked += 1
@@ -305,59 +331,6 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# Self-sums tie
-
-
-def _self_sum_item(item) -> Violation | None:
-    inst, budget = item
-    mirrored = negate_instance(inst)
-    got = solve_sum(sum_position([inst, mirrored], Player.LEFT), budget).outcome
-    if got is OutcomeClass.TIE:
-        return None
-    return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
-
-
-def _self_sum_random_item(item) -> Violation | None:
-    seed, max_n, x, budget = item
-    rng = random.Random(seed)
-    inst = random_ptx_instance(rng.randint(2, max_n), x, rng)
-    return _self_sum_item((inst, budget))
-
-
-def check_self_sum_tie(
-    max_exhaustive_n: int = 4,
-    x: int = 1,
-    random_trials: int = 1000,
-    random_max_n: int = 7,
-    seed: int = 104,
-    jobs: int = 1,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> SweepReport:
-    """Any uniform board plus its own mirror plays to a dead tie."""
-    items: list = []
-    for n in range(2, max_exhaustive_n + 1):
-        for inst in enumerate_ptx(n, x):
-            items.append((inst, budget))
-    exhaustive = len(items)
-    results = list(_run(items, _self_sum_item, jobs))
-    random_items = [(seed + i, random_max_n, x, budget) for i in range(random_trials)]
-    results.extend(_run(random_items, _self_sum_random_item, jobs))
-    return SweepReport(
-        "self-sum",
-        exhaustive + random_trials,
-        [r for r in results if r is not None],
-        {
-            "max_exhaustive_n": max_exhaustive_n,
-            "x": x,
-            "exhaustive": exhaustive,
-            "random_trials": random_trials,
-            "random_max_n": random_max_n,
-            "seed": seed,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
 # Distinguishing contexts
 
 
@@ -366,9 +339,8 @@ def _distinguishing_item(item) -> Violation | None:
     rng = random.Random(seed)
     inst = random_pt_instance(rng.randint(3, max_n), rng, require_left_move=True)
     context = distinguishing_context(inst)
-    alone = final_scores(context, budget).left_first
-    summed = solve_sum(sum_position([inst, context], Player.LEFT), budget)
-    summed = summed.final_scores.left_first
+    alone = final_scores(context, budget=budget).left_first
+    summed = final_scores(inst, context, budget=budget).left_first
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     if sign(alone) != sign(summed):
         return None
@@ -390,10 +362,5 @@ def check_distinguishing(
     """The overweight-edge context always separates a board with a mobile
     Left ship from the empty game, Left moving first."""
     items = [(seed + i, max_n, budget) for i in range(trials)]
-    results = _run(items, _distinguishing_item, jobs)
-    return SweepReport(
-        "distinguishing",
-        trials,
-        [r for r in results if r is not None],
-        {"trials": trials, "max_n": max_n, "seed": seed},
-    )
+    params = {"trials": trials, "max_n": max_n, "seed": seed}
+    return _sweep("distinguishing", _distinguishing_item, items, jobs, params)

@@ -31,7 +31,13 @@ from pirates_treasure.fixtures import (
     tab_case,
 )
 from pirates_treasure.model import Graph, Instance
-from pirates_treasure.solver import FinalScores, OutcomeClass, final_scores
+from pirates_treasure.solver import (
+    FinalScores,
+    OutcomeClass,
+    Search,
+    final_scores,
+    move_values,
+)
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -135,7 +141,26 @@ def test_single_component_sum_equals_direct_solve():
     assert solve_sum(sum_position([inst], L)).final_scores == final_scores(inst)
 
 
+@pytest.mark.parametrize("case", sorted(TAB_CASES))
+def test_final_scores_of_boards_side_by_side_match_the_sum_report(case):
+    instances, _ = tab_case(case)
+    assert final_scores(*instances) == solve_sum(sum_position(instances, L)).final_scores
+    reversed_order = instances[::-1]
+    assert final_scores(*reversed_order) == final_scores(*instances)
+
+
+def test_move_values_follow_sum_move_generation():
+    sp = sum_position([fig_add_b(), fig_half(), fig_ex()], R)
+    search = Search([c.instance for c in sp.components], 10**6)
+    values = move_values(sp.components, sp.to_move, search.final_score)
+    assert [m for m, _ in values] == sum_legal_moves(sp)
+    for m, v in values:
+        child = sum_apply(sp, m)
+        assert v == search.final_score(child.components, child.to_move)
+
+
 def test_empty_sum_is_the_zero_game():
+    assert final_scores() == FinalScores(0, 0)
     report = solve_sum(sum_position([], L))
     assert report.final_scores == FinalScores(0, 0)
     assert report.outcome is OutcomeClass.TIE

@@ -34,6 +34,13 @@ def test_classify(capsys, fixtures_dir):
     assert out.strip() == "N"
 
 
+def test_classify_needs_only_the_two_scores(capsys, fixtures_dir):
+    # the two final scores of fig_ex take 28 nodes, the full solve report 52
+    code, out, _ = run(capsys, "classify", "--max-nodes", "40", str(fixtures_dir / "fig_ex.pt"))
+    assert code == 0
+    assert out.strip() == "L"
+
+
 def test_sum_both_and_filtered(capsys, fixtures_dir):
     a = str(fixtures_dir / "fig_add_a.pt")
     b = str(fixtures_dir / "fig_add_b.pt")

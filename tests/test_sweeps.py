@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from pirates_treasure.errors import ValidationError
+from pirates_treasure.model import serialize_instance
 from pirates_treasure.solver import OutcomeClass
+from pirates_treasure.theory import sweeps
 from pirates_treasure.theory import (
     OUTCOME_TABLE,
     SweepReport,
@@ -12,7 +19,9 @@ from pirates_treasure.theory import (
     check_reduction_sweep,
     check_self_sum_tie,
     check_table_witnesses,
+    enumerate_ptx,
     outcome_table_cell,
+    random_ptx_instance,
 )
 
 _T = OutcomeClass.TIE
@@ -73,12 +82,65 @@ def test_distinguishing_sweep_small():
 
 
 def test_jobs_do_not_change_results():
-    serial = check_reduction_sweep(max_n=4, jobs=1)
-    parallel = check_reduction_sweep(max_n=4, jobs=3)
-    assert (serial.checked, serial.violations) == (parallel.checked, parallel.violations)
-    serial = check_no_p_positions(max_exhaustive_n=3, random_trials=80, seed=9, jobs=1)
-    parallel = check_no_p_positions(max_exhaustive_n=3, random_trials=80, seed=9, jobs=2)
-    assert (serial.checked, serial.violations) == (parallel.checked, parallel.violations)
+    sweeps_and_args = [
+        (check_reduction_sweep, 3, dict(max_n=4)),
+        (check_no_p_positions, 2, dict(max_exhaustive_n=3, random_trials=80, seed=9)),
+        (check_no_n_positions, 2, dict(max_exhaustive_n=3, random_trials=80, seed=10)),
+        (check_self_sum_tie, 2, dict(max_exhaustive_n=3, random_trials=40, seed=11)),
+        (check_outcome_table, 2, dict(trials=40, max_component_n=4, seed=12)),
+        (check_distinguishing, 2, dict(trials=40, max_n=6, seed=13)),
+    ]
+    for sweep, jobs, kwargs in sweeps_and_args:
+        serial = sweep(jobs=1, **kwargs)
+        parallel = sweep(jobs=jobs, **kwargs)
+        assert (serial.checked, serial.violations) == (
+            parallel.checked,
+            parallel.violations,
+        ), serial.name
+
+
+@pytest.mark.parametrize("x", [0, -1])
+@pytest.mark.parametrize(
+    "sweep",
+    [check_no_p_positions, check_no_n_positions, check_self_sum_tie, check_outcome_table],
+)
+def test_uniform_sweeps_reject_a_non_positive_pile_value(sweep, x):
+    if sweep is check_outcome_table:
+        with pytest.raises(ValidationError):
+            sweep(trials=5, max_component_n=4, x=x, seed=3)
+        return
+    # with and without exhaustive boards: a seeded-only sweep is refused too
+    for max_exhaustive_n in (3, 1):
+        with pytest.raises(ValidationError):
+            sweep(max_exhaustive_n=max_exhaustive_n, x=x, random_trials=5, seed=1)
+
+
+def _boards_visited(max_exhaustive_n, random_trials, random_max_n, seed):
+    exhaustive = [
+        serialize_instance(inst)
+        for n in range(2, max_exhaustive_n + 1)
+        for inst in enumerate_ptx(n, 1)
+    ]
+    seeded = []
+    for i in range(random_trials):
+        rng = random.Random(seed + i)
+        seeded.append(
+            serialize_instance(random_ptx_instance(rng.randint(2, random_max_n), 1, rng))
+        )
+    return exhaustive + seeded
+
+
+@pytest.mark.parametrize(
+    "sweep, always",
+    [(check_no_p_positions, OutcomeClass.P), (check_self_sum_tie, OutcomeClass.L)],
+)
+def test_sweeps_visit_the_exhaustive_boards_then_the_seeded_draws(monkeypatch, sweep, always):
+    # every board counts as a violation, so the report lists every board checked
+    monkeypatch.setattr(sweeps, "classify", lambda scores: always)
+    report = sweep(max_exhaustive_n=3, random_trials=25, random_max_n=6, seed=17)
+    texts = [v.instance_text for v in report.violations]
+    assert texts == _boards_visited(3, 25, 6, 17)
+    assert report.checked == len(texts) == 26 + 25
 
 
 def test_sweep_report_rendering():
