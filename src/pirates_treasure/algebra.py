@@ -31,8 +31,8 @@ from .solver import (
     FinalScores,
     OutcomeClass,
     Search,
+    best_moves,
     classify,
-    move_values,
 )
 
 DEFAULT_EXPANSION_BUDGET = 1_000_000
@@ -304,22 +304,14 @@ class SumReport:
 def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
     """Scores, class and best first moves for a compound position."""
     search = Search([c.instance for c in sp.components], budget, what="sum solve")
-    scores = []
-    bests = []
-    for first in (Player.LEFT, Player.RIGHT):
-        values = move_values(sp.components, first, search.final_score)
-        if not values:
-            scores.append(sp.score)
-            bests.append(frozenset())
-            continue
-        score = (max if first is Player.LEFT else min)(v for _, v in values)
-        scores.append(score)
-        bests.append(frozenset(sm for sm, v in values if v == score))
-    final = FinalScores(scores[0], scores[1])
+    (sl, best_left), (sr, best_right) = (
+        best_moves(search, sp.components, first) for first in (Player.LEFT, Player.RIGHT)
+    )
+    final = FinalScores(sl, sr)
     return SumReport(
         final_scores=final,
         outcome=classify(final),
-        best_first_moves_left=bests[0],
-        best_first_moves_right=bests[1],
+        best_first_moves_left=best_left,
+        best_first_moves_right=best_right,
         nodes_expanded=search.nodes,
     )

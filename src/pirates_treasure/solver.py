@@ -1,21 +1,22 @@
 """Exact play: final scores, outcome classes, best first moves, variations.
 
-Every exact answer comes from one searcher, :class:`Search`: alpha-beta
-with a bound-flagged transposition table over packed states (sorted ship
-tuple per player, plundered-set bitmask, side to move).  It is built from
-a sequence of boards laid side by side, which is again one board: their
-disjoint union, with the fleets merged.  A single board is the
-one-component case, and a disjunctive sum (:mod:`.algebra`) is just a
-larger, disconnected board.  Scores are factored out additively: table
-values are the optimal score still to come from a state, so
+Every exact answer comes from one searcher, :class:`Search`: negamax
+alpha-beta with a bound-flagged transposition table over packed states.
+It is built from a sequence of boards laid side by side, which is again
+one board: their disjoint union, with the fleets merged.  A single board
+is the one-component case, and a disjunctive sum (:mod:`.algebra`) is
+just a larger, disconnected board.  Table values are the optimal score
+still to come from a state, taken from the mover's side, so
 transpositions reached at different running scores share one entry.
 
-Play conventions differ only in what a state with a stuck mover is worth.
-Scoring play gives 0; normal and misere play ignore treasure and give the
-stuck mover -1 or +1 from its own side (:mod:`.theory.conventions`).
+Play conventions differ only in what a stuck mover gets, read directly
+from its own side: 0 in scoring play; normal and misere play ignore
+treasure and give -1 or +1 (:mod:`.theory.conventions`).
 
-``minimax_final_score`` is a deliberately plain exhaustive recursion kept
-as a reference implementation; the test suite holds the two routes equal.
+:func:`best_moves` values the first moves for :func:`solve` and the sum
+report alike.  ``minimax_final_score`` is a deliberately plain exhaustive
+recursion kept as a reference implementation; the test suite holds the
+two routes equal.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class SolveReport:
 
 
 class Search:
-    """Alpha-beta with a transposition table over boards laid side by side.
+    """Negamax alpha-beta with a transposition table over boards side by side.
 
     Component ``i`` keeps its own vertex numbering, shifted up by the
     vertex counts of the components before it.  A merged fleet is then
@@ -93,12 +94,16 @@ class Search:
     sorted, so a state of the union packs exactly as the tuple of its
     component states would.
 
-    ``stuck`` is what the player to move gets, from its own side, when it
-    has no move: 0 in scoring play, -1 in normal play, +1 in misere play.
-    A nonzero ``stuck`` also makes all treasure, banked or not, worth 0.
+    A pile counts for whoever takes it, so :meth:`value` scores from the
+    mover's side and one move loop serves both players.  ``stuck`` is what
+    a mover with no move gets: 0 in scoring play, -1 in normal play, +1 in
+    misere play; a nonzero ``stuck`` also makes all treasure worth 0.  The
+    table key keeps the side to move, so a state and its mirror image stay
+    apart and node counts match a search that keeps Left's and Right's
+    values separate.
     """
 
-    __slots__ = ("adj", "wt", "terminal", "scored", "inf", "memo", "nodes", "budget", "what")
+    __slots__ = ("adj", "wt", "stuck", "inf", "memo", "nodes", "budget", "what")
 
     def __init__(
         self,
@@ -120,9 +125,7 @@ class Search:
             wt += values
         self.adj = adj
         self.wt = wt
-        # indexed by left_to_move: Right stuck, Left stuck
-        self.terminal = (-stuck, stuck)
-        self.scored = not stuck
+        self.stuck = stuck
         self.inf = sum(abs(w) for w in wt) + abs(stuck) + 1
         self.memo: dict = {}
         self.nodes = 0
@@ -131,10 +134,7 @@ class Search:
 
     def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
         """Terminal score under best play from the positions side by side."""
-        lships, rships, visited = _union_state(positions)
-        return self._banked(positions) + self.value(
-            lships, rships, visited, to_move is Player.LEFT, -self.inf, self.inf
-        )
+        return self._banked(positions) + self._root(positions, to_move, -self.inf, self.inf)
 
     def left_wins(self, positions: Sequence[Position], to_move: Player) -> bool:
         """Does Left force a positive final score?
@@ -143,23 +143,26 @@ class Search:
         value when only the sign matters.
         """
         banked = self._banked(positions)
-        lships, rships, visited = _union_state(positions)
-        bound = self.value(
-            lships, rships, visited, to_move is Player.LEFT, -banked, 1 - banked
-        )
-        return banked + bound > 0
+        return banked + self._root(positions, to_move, -banked, 1 - banked) > 0
 
     def _banked(self, positions: Sequence[Position]) -> int:
-        return sum(p.score for p in positions) if self.scored else 0
+        return 0 if self.stuck else sum(p.score for p in positions)
 
-    def value(self, lships, rships, visited, left_to_move, alpha, beta):
-        """Optimal score still to come; exact within (alpha, beta)."""
+    def _root(self, positions: Sequence[Position], to_move: Player, alpha: int, beta: int) -> int:
+        """Score still to come for Left, searched in Left's window (alpha, beta)."""
+        lships, rships, visited = _union_state(positions)
+        if to_move is Player.LEFT:
+            return self.value(lships, rships, visited, True, alpha, beta)
+        return -self.value(rships, lships, visited, False, -beta, -alpha)
+
+    def value(self, ships, others, visited, left_to_move, alpha, beta):
+        """Optimal score still to come for the mover, who owns ``ships``;
+        exact within (alpha, beta)."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(self.budget, self.what)
         adj = self.adj
         wt = self.wt
-        ships = lships if left_to_move else rships
         moves = []
         for si in range(len(ships)):
             m = adj[ships[si]] & ~visited
@@ -168,8 +171,8 @@ class Search:
                 m ^= b
                 moves.append((si, b.bit_length() - 1, b))
         if not moves:
-            return self.terminal[left_to_move]
-        key = (lships, rships, visited, left_to_move)
+            return self.stuck
+        key = (ships, others, visited, left_to_move)
         entry = self.memo.get(key)
         if entry is not None:
             flag, v = entry
@@ -189,42 +192,25 @@ class Search:
         if len(moves) > 1:
             moves.sort(key=lambda t: -wt[t[1]])
         single = len(ships) == 1
-        if left_to_move:
-            best = -self.inf
-            for si, to, bit in moves:
-                if single:
-                    nl = (to,)
-                else:
-                    tmp = list(lships)
-                    tmp[si] = to
-                    tmp.sort()
-                    nl = tuple(tmp)
-                w = wt[to]
-                v = w + self.value(nl, rships, visited | bit, False, alpha - w, beta - w)
-                if v > best:
-                    best = v
-                    if v > alpha:
-                        alpha = v
-                        if alpha >= beta:
-                            break
-        else:
-            best = self.inf
-            for si, to, bit in moves:
-                if single:
-                    nr = (to,)
-                else:
-                    tmp = list(rships)
-                    tmp[si] = to
-                    tmp.sort()
-                    nr = tuple(tmp)
-                w = wt[to]
-                v = -w + self.value(lships, nr, visited | bit, True, alpha + w, beta + w)
-                if v < best:
-                    best = v
-                    if v < beta:
-                        beta = v
-                        if alpha >= beta:
-                            break
+        best = -self.inf
+        for si, to, bit in moves:
+            if single:
+                moved = (to,)
+            else:
+                tmp = list(ships)
+                tmp[si] = to
+                tmp.sort()
+                moved = tuple(tmp)
+            w = wt[to]
+            v = w - self.value(
+                others, moved, visited | bit, not left_to_move, w - beta, w - alpha
+            )
+            if v > best:
+                best = v
+                if v > alpha:
+                    alpha = v
+                    if alpha >= beta:
+                        break
         if best <= alpha0:
             flag = _UPPER
         elif best >= beta0:
@@ -287,23 +273,21 @@ def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalS
 def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     """Full report: both final scores, best first moves, variations."""
     search = Search([inst], budget)
-    scores = []
-    bests = []
-    pvs = []
+    reports = []
     for first in (Player.LEFT, Player.RIGHT):
         root = initial_position(inst, first)
-        score, best = _root_moves(search, root)
-        scores.append(score)
-        bests.append(best)
-        pvs.append(_principal_variation(search, root))
-    final = FinalScores(scores[0], scores[1])
+        score, best = best_moves(search, (root,), first)
+        pv = _principal_variation(search, root)
+        reports.append((score, frozenset(m for _, m in best), pv))
+    (sl, best_left, pv_left), (sr, best_right, pv_right) = reports
+    final = FinalScores(sl, sr)
     return SolveReport(
         final_scores=final,
         outcome=classify(final),
-        best_first_moves_left=bests[0],
-        best_first_moves_right=bests[1],
-        pv_left=pvs[0],
-        pv_right=pvs[1],
+        best_first_moves_left=best_left,
+        best_first_moves_right=best_right,
+        pv_left=pv_left,
+        pv_right=pv_right,
         nodes_expanded=search.nodes,
     )
 
@@ -327,27 +311,28 @@ def move_values(
     return out
 
 
-def _root_moves(search: Search, root: Position) -> tuple[int, frozenset[Move]]:
-    """Exact value of every root move; returns (score, optimal move set)."""
-    values = move_values((root,), root.to_move, search.final_score)
+def best_moves(
+    search: Search, positions: Sequence[Position], first: Player
+) -> tuple[int, frozenset[tuple[int, Move]]]:
+    """Final score and optimal (component, move) first moves, each valued
+    exactly; with no move the banked score is final."""
+    values = move_values(positions, first, search.final_score)
     if not values:
-        return root.score, frozenset()
-    score = (max if root.to_move is Player.LEFT else min)(v for _, v in values)
-    return score, frozenset(m for (_, m), v in values if v == score)
+        return sum(p.score for p in positions), frozenset()
+    score = (max if first is Player.LEFT else min)(v for _, v in values)
+    return score, frozenset(m for m, v in values if v == score)
 
 
 def _principal_variation(search: Search, pos: Position) -> tuple[Move, ...]:
     """Optimal line, breaking ties by lowest (ship, target vertex)."""
     line = []
     while True:
-        values = move_values((pos,), pos.to_move, search.final_score)
-        if not values:
+        _, best = best_moves(search, (pos,), pos.to_move)
+        if not best:
             return tuple(line)
-        # generation order is tie-break order; max and min keep the first
-        pick = max if pos.to_move is Player.LEFT else min
-        (_, best_move), _ = pick(values, key=lambda mv: mv[1])
-        line.append(best_move)
-        pos = apply_move(pos, best_move)
+        _, move = min(best, key=lambda cm: cm[1].sort_key())
+        line.append(move)
+        pos = apply_move(pos, move)
 
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -366,22 +351,21 @@ def greedy_score(
 
     The greedy player always slides to the highest-value reachable vertex
     (ties: lowest vertex id, then lowest ship index); the opponent plays
-    optimally against that fixed policy.
+    optimally against that fixed policy.  Values are taken from the
+    mover's side, as in :class:`Search`.
     """
     adj = list(inst.graph.adjacency_bits)
     n = inst.graph.vertex_count
     wt = [0] * n
     for v, w in inst.weights.items():
         wt[v] = w
-    greedy_left = greedy_player is Player.LEFT
     budget_box = [0]
     memo: dict = {}
 
-    def rec(lships, rships, visited, left_to_move):
+    def rec(ships, others, visited, greedy_moves):
         budget_box[0] += 1
         if budget_box[0] > budget:
             raise BudgetExceededError(budget, "greedy playout")
-        ships = lships if left_to_move else rships
         moves = []
         for si in range(len(ships)):
             m = adj[ships[si]] & ~visited
@@ -391,7 +375,7 @@ def greedy_score(
                 moves.append((si, b.bit_length() - 1, b))
         if not moves:
             return 0
-        key = (lships, rships, visited, left_to_move)
+        key = (ships, others, visited, greedy_moves)
         if key in memo:
             return memo[key]
 
@@ -399,26 +383,21 @@ def greedy_score(
             tmp = list(ships)
             tmp[si] = to
             tmp.sort()
-            nt = tuple(tmp)
-            if left_to_move:
-                sub = rec(nt, rships, visited | bit, False)
-                return wt[to] + sub
-            sub = rec(lships, nt, visited | bit, True)
-            return -wt[to] + sub
+            return wt[to] - rec(others, tuple(tmp), visited | bit, not greedy_moves)
 
-        if left_to_move == greedy_left:
-            si, to, bit = min(moves, key=lambda t: (-wt[t[1]], t[1], t[0]))
-            result = child(si, to, bit)
-        elif left_to_move:
-            result = max(child(*m) for m in moves)
+        if greedy_moves:
+            result = child(*min(moves, key=lambda t: (-wt[t[1]], t[1], t[0])))
         else:
-            result = min(child(*m) for m in moves)
+            result = max(child(*m) for m in moves)
         memo[key] = result
         return result
 
     pos = initial_position(inst, first_player)
     l, r, visited = _union_state((pos,))
-    return pos.score + rec(l, r, visited, first_player is Player.LEFT)
+    greedy_first = greedy_player is first_player
+    if first_player is Player.LEFT:
+        return pos.score + rec(l, r, visited, greedy_first)
+    return pos.score - rec(r, l, visited, greedy_first)
 
 
 def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:

@@ -14,7 +14,8 @@ no N positions at -x, a board plus its mirror ties) share one driver,
 draws, each drawn inside the worker from ``Random(seed + i)``, and one
 per-board check decides each of them.  Checks that need only a class or
 a score ask :func:`~pirates_treasure.solver.final_scores` for the two
-scores of the boards side by side, never for a full report.
+scores of the boards side by side, never for a full report; the
+distinguishing check reads only Left-first scores and searches only those.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from typing import Callable, Sequence
 
 from .. import fixtures
 from ..algebra import negate_instance
+from ..engine import Player, initial_position
 from ..errors import ValidationError
 from ..model import Graph, Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     OutcomeClass,
+    Search,
     classify,
     final_scores,
     left_wins_moving_first,
@@ -334,13 +337,19 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 # Distinguishing contexts
 
 
+def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
+    """Final score of the boards side by side with Left first, searched alone."""
+    roots = [initial_position(b, Player.LEFT) for b in boards]
+    return Search(boards, budget).final_score(roots, Player.LEFT)
+
+
 def _distinguishing_item(item) -> Violation | None:
     seed, max_n, budget = item
     rng = random.Random(seed)
     inst = random_pt_instance(rng.randint(3, max_n), rng, require_left_move=True)
     context = distinguishing_context(inst)
-    alone = final_scores(context, budget=budget).left_first
-    summed = final_scores(inst, context, budget=budget).left_first
+    alone = _left_first_score([context], budget)
+    summed = _left_first_score([inst, context], budget)
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     if sign(alone) != sign(summed):
         return None

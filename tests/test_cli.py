@@ -146,11 +146,16 @@ def test_generate_grid(capsys):
 
 
 def test_parse_error_exits_two(capsys, tmp_path):
-    bad = tmp_path / "bad.pt"
-    bad.write_text("vertices 2\nv 0 ship L\n")
-    code, _, err = run(capsys, "solve", str(bad))
-    assert code == 2
-    assert "error:" in err
+    # the second board would be playable if an unmentioned vertex were worth 0
+    for text, missing in (
+        ("vertices 2\nv 0 ship L\n", 1),
+        ("vertices 3\nv 0 ship L\nv 1 ship R\ne 0 2\n", 2),
+    ):
+        bad = tmp_path / "bad.pt"
+        bad.write_text(text)
+        code, out, err = run(capsys, "solve", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: no 'v' line for vertices [{missing}]\n"
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

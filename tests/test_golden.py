@@ -1,0 +1,85 @@
+"""Golden CLI transcript: the stdout of fixed commands on fixed boards.
+
+Covers ``solve --machine`` on every fixture, ``sum`` and ``compare`` on
+each fixture alone, and ``sum`` (both first players, ``--first left``,
+``--first right``) and ``compare`` on each fixture summand set in both
+orders.  Two larger boards in ``tests/data/`` get ``solve --machine`` and
+``sum`` too: ``grid_3x3.pt`` (``pirates generate grid --cols 3 --rows 3
+--left 1,1 --right 3,3``) and ``random_n7_seed1.pt`` (``pirates generate
+random --n 7 --seed 1``).  On them, unlike on the fixtures, a state and
+its mirror image (fleets swapped, the other side to move) both reach the
+shared transposition table, so their node counts pin the side to move in
+the table key.
+
+The transcript pins scores, classes, best-move sets, variations and
+``nodes expanded:``, so a change that moves any of them, node counts
+included, must regenerate the file and say why in CHANGES.md.
+
+Regenerate from the repository root with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+from pirates_treasure import cli
+from pirates_treasure.fixtures import TAB_CASES
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = REPO_ROOT / "tests" / "data" / "cli_transcript.txt"
+
+#: Boards outside ``fixtures/`` whose node counts depend on the table key.
+KEY_BOARDS = ["tests/data/grid_3x3.pt", "tests/data/random_n7_seed1.pt"]
+
+#: Fixture stems whose boards are played together as one sum.
+SUMMAND_SETS = [(f"tab_case{case}a", f"tab_case{case}b") for case in sorted(TAB_CASES)] + [
+    ("fig_add_a", "fig_add_b"),
+    ("fig_mis_a", "fig_mis_b", "fig_mis_c"),
+]
+
+
+def commands() -> list[list[str]]:
+    """Every recorded command line, with paths relative to the repo root."""
+    stems = sorted(p.stem for p in (REPO_ROOT / "fixtures").glob("*.pt"))
+    out = [["solve", "--machine", f"fixtures/{s}.pt"] for s in stems]
+    for s in stems:
+        out += [["sum", f"fixtures/{s}.pt"], ["compare", f"fixtures/{s}.pt"]]
+    for stems_in_set in SUMMAND_SETS:
+        for order in (stems_in_set, stems_in_set[::-1]):
+            files = [f"fixtures/{s}.pt" for s in order]
+            out += [
+                ["sum", *files],
+                ["sum", "--first", "left", *files],
+                ["sum", "--first", "right", *files],
+                ["compare", *files],
+            ]
+    for board in KEY_BOARDS:
+        out += [["solve", "--machine", board], ["sum", board]]
+    return out
+
+
+def transcript() -> str:
+    """Run every command in-process from the repo root; stdout and exit codes."""
+    chunks = []
+    for argv in commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        chunks.append(f"$ pirates {' '.join(argv)}\n{out.getvalue()}exit={code}\n")
+    return "".join(chunks)
+
+
+def test_cli_transcript_matches_golden(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    assert transcript() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    os.chdir(REPO_ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(transcript())

@@ -5,13 +5,22 @@ import random
 
 import pytest
 
-from pirates_treasure.engine import Move, Player, apply_move, initial_position, is_terminal
+from pirates_treasure.engine import (
+    Move,
+    Player,
+    Position,
+    apply_move,
+    initial_position,
+    is_terminal,
+    legal_moves,
+)
 from pirates_treasure.errors import BudgetExceededError
 from pirates_treasure.fixtures import fig_ex, fig_ex1, fig_half
 from pirates_treasure.model import Graph, Instance, random_instance
 from pirates_treasure.solver import (
     FinalScores,
     OutcomeClass,
+    Search,
     classify,
     final_scores,
     greedy_score,
@@ -170,3 +179,50 @@ def test_solver_shares_transpositions_across_roots():
     # reuses entries from the first, so the total node count stays small
     report = solve(fig_ex())
     assert report.nodes_expanded < 200
+
+
+def _random_fleet_board(seed: int) -> Instance:
+    """Seeded board with 1-2 ships a side, negative values and a nonzero
+    banked score."""
+    rng = random.Random(seed)
+    ls, rs = rng.randint(1, 2), rng.randint(1, 2)
+    n = rng.randint(ls + rs, 7)
+    inst = random_instance(n, rng.uniform(0.3, 0.9), (-3, 4), ls, rs, seed=seed)
+    return dataclasses.replace(inst, initial_score=rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def test_left_wins_matches_sign_of_final_score():
+    # the zero-width window must sit at the banked score, from either mover
+    for seed in range(300):
+        inst = _random_fleet_board(3000 + seed)
+        for stuck in (0, -1, 1):
+            for first in (L, R):
+                roots = [initial_position(inst, first)]
+                exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
+                wins = Search([inst], 10**6, stuck=stuck).left_wins(roots, first)
+                assert wins == (exact > 0), f"seed {seed}, stuck {stuck}, {first} first"
+
+
+def _greedy_reference(pos: Position, greedy_player: Player) -> int:
+    """Plain recursion over positions: the greedy side takes the most
+    valuable pile (then lowest vertex id, then lowest ship index), the
+    other side plays minimax."""
+    moves = legal_moves(pos)
+    if not moves:
+        return pos.score
+    if pos.to_move is greedy_player:
+        weight = pos.instance.weight_of
+        grab = min(moves, key=lambda m: (-weight(m.to), m.to, m.ship))
+        return _greedy_reference(apply_move(pos, grab), greedy_player)
+    results = [_greedy_reference(apply_move(pos, m), greedy_player) for m in moves]
+    return max(results) if pos.to_move is L else min(results)
+
+
+def test_greedy_score_matches_position_reference():
+    for seed in range(150):
+        inst = _random_fleet_board(4000 + seed)
+        for greedy in (L, R):
+            for first in (L, R):
+                expected = _greedy_reference(initial_position(inst, first), greedy)
+                got = greedy_score(inst, greedy, first)
+                assert got == expected, f"seed {seed}, greedy {greedy}, {first} first"
