@@ -9,6 +9,7 @@ budget runs out or a game runs deeper than the recursive search can go.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -66,7 +67,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; every :func:`main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="pirates",
         description="Exact play and verification for the Pirates and Treasure game.",

@@ -13,10 +13,14 @@ Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
 treasure and give -1 or +1 (:mod:`.theory.conventions`).
 
-:func:`best_moves` values the first moves for :func:`solve` and the sum
-report alike.  ``minimax_final_score`` is a deliberately plain exhaustive
-recursion kept as a reference implementation; the test suite holds the
-two routes equal.
+:func:`best_moves` finds the optimal first moves for :func:`solve` and
+the sum report alike: one exact search of the root gives the final score,
+then a zero-window test per first move (:meth:`Search.at_least`) asks
+whether its child still reaches that score, so no other move is valued.
+The principal variation takes, at each step, the first move in (ship,
+target vertex) order that passes the same test.  ``minimax_final_score``
+is a deliberately plain exhaustive recursion kept as a reference
+implementation; the test suite holds the two routes equal.
 """
 
 from __future__ import annotations
@@ -98,9 +102,9 @@ class Search:
     mover's side and one move loop serves both players.  ``stuck`` is what
     a mover with no move gets: 0 in scoring play, -1 in normal play, +1 in
     misere play; a nonzero ``stuck`` also makes all treasure worth 0.  The
-    table key keeps the side to move, so a state and its mirror image stay
-    apart and node counts match a search that keeps Left's and Right's
-    values separate.
+    table key is (mover's fleet, other fleet, plundered mask) without the
+    side to move, so a state and its mirror image (fleets swapped, the
+    other side to move) share one entry.
     """
 
     __slots__ = ("adj", "wt", "stuck", "inf", "memo", "nodes", "budget", "what")
@@ -137,13 +141,17 @@ class Search:
         return self._banked(positions) + self._root(positions, to_move, -self.inf, self.inf)
 
     def left_wins(self, positions: Sequence[Position], to_move: Player) -> bool:
-        """Does Left force a positive final score?
+        """Does Left force a positive final score?"""
+        return self.at_least(positions, to_move, 1)
+
+    def at_least(self, positions: Sequence[Position], to_move: Player, target: int) -> bool:
+        """Does Left force a final score of at least ``target``?
 
         Searches a zero-width window, which is much cheaper than an exact
-        value when only the sign matters.
+        value when only one threshold matters.
         """
-        banked = self._banked(positions)
-        return banked + self._root(positions, to_move, -banked, 1 - banked) > 0
+        t = target - self._banked(positions)
+        return self._root(positions, to_move, t - 1, t) >= t
 
     def _banked(self, positions: Sequence[Position]) -> int:
         return 0 if self.stuck else sum(p.score for p in positions)
@@ -152,10 +160,10 @@ class Search:
         """Score still to come for Left, searched in Left's window (alpha, beta)."""
         lships, rships, visited = _union_state(positions)
         if to_move is Player.LEFT:
-            return self.value(lships, rships, visited, True, alpha, beta)
-        return -self.value(rships, lships, visited, False, -beta, -alpha)
+            return self.value(lships, rships, visited, alpha, beta)
+        return -self.value(rships, lships, visited, -beta, -alpha)
 
-    def value(self, ships, others, visited, left_to_move, alpha, beta):
+    def value(self, ships, others, visited, alpha, beta):
         """Optimal score still to come for the mover, who owns ``ships``;
         exact within (alpha, beta)."""
         self.nodes += 1
@@ -172,7 +180,7 @@ class Search:
                 moves.append((si, b.bit_length() - 1, b))
         if not moves:
             return self.stuck
-        key = (ships, others, visited, left_to_move)
+        key = (ships, others, visited)
         entry = self.memo.get(key)
         if entry is not None:
             flag, v = entry
@@ -202,9 +210,7 @@ class Search:
                 tmp.sort()
                 moved = tuple(tmp)
             w = wt[to]
-            v = w - self.value(
-                others, moved, visited | bit, not left_to_move, w - beta, w - alpha
-            )
+            v = w - self.value(others, moved, visited | bit, w - beta, w - alpha)
             if v > best:
                 best = v
                 if v > alpha:
@@ -277,7 +283,7 @@ def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     for first in (Player.LEFT, Player.RIGHT):
         root = initial_position(inst, first)
         score, best = best_moves(search, (root,), first)
-        pv = _principal_variation(search, root)
+        pv = _principal_variation(search, root, score)
         reports.append((score, frozenset(m for _, m in best), pv))
     (sl, best_left, pv_left), (sr, best_right, pv_right) = reports
     final = FinalScores(sl, sr)
@@ -314,25 +320,43 @@ def move_values(
 def best_moves(
     search: Search, positions: Sequence[Position], first: Player
 ) -> tuple[int, frozenset[tuple[int, Move]]]:
-    """Final score and optimal (component, move) first moves, each valued
-    exactly; with no move the banked score is final."""
-    values = move_values(positions, first, search.final_score)
-    if not values:
-        return sum(p.score for p in positions), frozenset()
-    score = (max if first is Player.LEFT else min)(v for _, v in values)
-    return score, frozenset(m for m, v in values if v == score)
+    """Final score and optimal (component, move) first moves.
+
+    The root is searched once for its final score ``S``; a first move is
+    optimal when its child still reaches ``S``, which one zero-window test
+    per move decides without valuing the child.  With no move the banked
+    score is final.
+    """
+    score = search.final_score(positions, first)
+    values = move_values(positions, first, _reaches(search, first, score))
+    return score, frozenset(m for m, ok in values if ok)
 
 
-def _principal_variation(search: Search, pos: Position) -> tuple[Move, ...]:
-    """Optimal line, breaking ties by lowest (ship, target vertex)."""
+def _reaches(search: Search, mover: Player, score: int) -> Callable:
+    """Test on a child of ``mover``'s move: does the mover still get ``score``?
+
+    Left is sure of ``score`` when Left forces at least it; Right when Left
+    cannot force more.  Neither can do better than an optimal score.
+    """
+    if mover is Player.LEFT:
+        return lambda child, to_move: search.at_least(child, to_move, score)
+    return lambda child, to_move: not search.at_least(child, to_move, score + 1)
+
+
+def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Move, ...]:
+    """Optimal line from ``pos``, whose final score is ``score``: at each
+    step the first move in (ship, target vertex) order that keeps it."""
     line = []
     while True:
-        _, best = best_moves(search, (pos,), pos.to_move)
-        if not best:
+        reaches = _reaches(search, pos.to_move, score)
+        for move in moves_for(pos, pos.to_move):
+            child = apply_move(pos, move)
+            if reaches((child,), child.to_move):
+                break
+        else:
             return tuple(line)
-        _, move = min(best, key=lambda cm: cm[1].sort_key())
         line.append(move)
-        pos = apply_move(pos, move)
+        pos = child
 
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -28,6 +28,20 @@ def test_solve_machine_block(capsys, fixtures_dir):
     assert "s_left=2\ns_right=2\nclass=L\n" in out
 
 
+def test_usage_error_does_not_change_the_next_command(capsys, fixtures_dir):
+    # the parser is built once per process, so a failed parse must leave it as new
+    fig_ex = str(fixtures_dir / "fig_ex.pt")
+    cli._build_parser.cache_clear()
+    alone = run(capsys, "solve", fig_ex)
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--no-such-flag", fig_ex])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run(capsys, "solve", fig_ex) == alone
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_classify(capsys, fixtures_dir):
     code, out, _ = run(capsys, "classify", str(fixtures_dir / "fig_ex1.pt"))
     assert code == 0

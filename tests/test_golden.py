@@ -8,8 +8,8 @@ orders.  Two larger boards in ``tests/data/`` get ``solve --machine`` and
 --left 1,1 --right 3,3``) and ``random_n7_seed1.pt`` (``pirates generate
 random --n 7 --seed 1``).  On them, unlike on the fixtures, a state and
 its mirror image (fleets swapped, the other side to move) both reach the
-shared transposition table, so their node counts pin the side to move in
-the table key.
+shared transposition table, so their node counts show that the two share
+one table entry (the key leaves out the side to move).
 
 The transcript pins scores, classes, best-move sets, variations and
 ``nodes expanded:``, so a change that moves any of them, node counts
@@ -18,13 +18,18 @@ included, must regenerate the file and say why in CHANGES.md.
 Regenerate from the repository root with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also prints how many ``nodes expanded:``/``nodes=`` lines and how
+many other lines were removed or added.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import os
+import re
 from pathlib import Path
 
 from pirates_treasure import cli
@@ -33,7 +38,7 @@ from pirates_treasure.fixtures import TAB_CASES
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "cli_transcript.txt"
 
-#: Boards outside ``fixtures/`` whose node counts depend on the table key.
+#: Boards outside ``fixtures/`` on which mirror states share a table entry.
 KEY_BOARDS = ["tests/data/grid_3x3.pt", "tests/data/random_n7_seed1.pt"]
 
 #: Fixture stems whose boards are played together as one sum.
@@ -74,6 +79,17 @@ def transcript() -> str:
     return "".join(chunks)
 
 
+def changed_lines(old: str, new: str) -> tuple[int, int]:
+    """Lines removed or added between two transcripts: (node counts, others)."""
+    a, b = old.splitlines(), new.splitlines()
+    changed = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            changed += a[i1:i2] + b[j1:j2]
+    nodes = sum(1 for line in changed if re.fullmatch(r"nodes expanded: \d+|nodes=\d+", line))
+    return nodes, len(changed) - nodes
+
+
 def test_cli_transcript_matches_golden(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     assert transcript() == GOLDEN.read_text()
@@ -82,4 +98,11 @@ def test_cli_transcript_matches_golden(monkeypatch):
 if __name__ == "__main__":
     os.chdir(REPO_ROOT)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(transcript())
+    old = GOLDEN.read_text() if GOLDEN.exists() else ""
+    new = transcript()
+    GOLDEN.write_text(new)
+    nodes, others = changed_lines(old, new)
+    print(
+        f"{GOLDEN.relative_to(REPO_ROOT)}: {nodes} node-count lines and "
+        f"{others} other lines removed or added"
+    )

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pirates_treasure.algebra import solve_sum, sum_apply, sum_legal_moves, sum_position
 from pirates_treasure.engine import (
     Move,
     Player,
@@ -201,6 +202,74 @@ def test_left_wins_matches_sign_of_final_score():
                 exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
                 wins = Search([inst], 10**6, stuck=stuck).left_wins(roots, first)
                 assert wins == (exact > 0), f"seed {seed}, stuck {stuck}, {first} first"
+
+
+def test_at_least_matches_thresholds_of_final_score():
+    # each threshold in a fresh table, then all of them through one shared table
+    for seed in range(120):
+        inst = _random_fleet_board(5000 + seed)
+        for stuck in (0, -1, 1):
+            for first in (L, R):
+                roots = [initial_position(inst, first)]
+                exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
+                shared = Search([inst], 10**6, stuck=stuck)
+                for t in range(exact - 2, exact + 3):
+                    why = f"seed {seed}, stuck {stuck}, {first} first, target {t}"
+                    fresh = Search([inst], 10**6, stuck=stuck).at_least(roots, first, t)
+                    assert fresh == (exact >= t), why
+                    assert shared.at_least(roots, first, t) == (exact >= t), why
+
+
+def _minimax_children(pos: Position) -> tuple[list[tuple[Move, int]], int]:
+    """Every legal move with its child's minimax score, and the optimum."""
+    values = [(m, minimax_final_score(apply_move(pos, m))) for m in legal_moves(pos)]
+    best = (max if pos.to_move is L else min)(v for _, v in values)
+    return values, best
+
+
+def test_best_moves_and_variations_match_minimax():
+    # best moves: every move whose child keeps the optimum; each PV step:
+    # the optimal move with the lowest (ship, target vertex)
+    for seed in range(150):
+        inst = _random_fleet_board(6000 + seed)
+        report = solve(inst)
+        for first, best, pv in (
+            (L, report.best_first_moves_left, report.pv_left),
+            (R, report.best_first_moves_right, report.pv_right),
+        ):
+            pos = initial_position(inst, first)
+            if is_terminal(pos):
+                assert best == frozenset() and pv == ()
+                continue
+            values, opt = _minimax_children(pos)
+            assert best == frozenset(m for m, v in values if v == opt), f"seed {seed}"
+            for step, move in enumerate(pv):
+                values, opt = _minimax_children(pos)
+                expected = min((m for m, v in values if v == opt), key=Move.sort_key)
+                assert move == expected, f"seed {seed}, {first} first, step {step}"
+                pos = apply_move(pos, move)
+            assert is_terminal(pos), f"seed {seed}, {first} first: variation stops early"
+
+
+def test_sum_best_moves_match_full_window_values():
+    # the zero-window sum report against every child valued in a fresh table
+    for seed in range(120):
+        rng = random.Random(7000 + seed)
+        boards = [_random_fleet_board(rng.randrange(10**6)) for _ in range(rng.randint(1, 3))]
+        for first in (L, R):
+            sp = sum_position(boards, first)
+            report = solve_sum(sp)
+            best = report.best_first_moves_left if first is L else report.best_first_moves_right
+            values = []
+            for sm in sum_legal_moves(sp):
+                child = sum_apply(sp, sm)
+                search = Search([c.instance for c in child.components], 10**6)
+                values.append((sm, search.final_score(child.components, child.to_move)))
+            if not values:
+                assert best == frozenset()
+                continue
+            opt = (max if first is L else min)(v for _, v in values)
+            assert best == frozenset(m for m, v in values if v == opt), f"seed {seed}, {first}"
 
 
 def _greedy_reference(pos: Position, greedy_player: Player) -> int:
