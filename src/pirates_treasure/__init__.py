@@ -27,7 +27,6 @@ from .algebra import (
     solve_sum,
     sum_trees,
     tree_final_scores,
-    tree_identical,
 )
 from .engine import (
     Move,
@@ -67,10 +66,8 @@ from .solver import (
     classify,
     final_scores,
     greedy_score,
-    left_final_score,
     left_wins_moving_first,
     minimax_final_score,
-    right_final_score,
     solve,
 )
 
@@ -105,7 +102,6 @@ __all__ = [
     "initial_position",
     "is_terminal",
     "leaf",
-    "left_final_score",
     "left_wins_moving_first",
     "legal_moves",
     "make_grid",
@@ -117,7 +113,6 @@ __all__ = [
     "parse_instance",
     "random_instance",
     "render_tree",
-    "right_final_score",
     "serialize_graph",
     "serialize_instance",
     "shift_tree",
@@ -129,6 +124,5 @@ __all__ = [
     "sum_position",
     "sum_trees",
     "tree_final_scores",
-    "tree_identical",
     "validate",
 ]

@@ -56,15 +56,6 @@ def leaf(score: int) -> GameTree:
     return GameTree(score, frozenset(), frozenset())
 
 
-def tree_identical(g: GameTree, h: GameTree) -> bool:
-    """Structural identity: same score and identical option sets, recursively.
-
-    This is a far finer relation than game equivalence; two trees that play
-    identically in every context can still differ structurally.
-    """
-    return g == h
-
-
 def render_tree(t: GameTree) -> str:
     """Bracket form ``{left options|score|right options}``.
 

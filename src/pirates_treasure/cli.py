@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -275,6 +276,9 @@ def _cmd_verify(args) -> int:
     def picked(value, default):
         return default if value is None else value
 
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValidationError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     reports = []
     if args.claim == "reduction":
         reports.append(

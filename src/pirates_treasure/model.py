@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
@@ -156,16 +157,18 @@ def validate(inst: Instance) -> list[str]:
     warnings = []
     negatives = sorted(v for v, w in inst.weights.items() if w < 0)
     if negatives:
-        warnings.append(f"negative treasure values at vertices {_id_list(negatives)}")
+        warnings.append(
+            f"negative treasure values at vertices {_id_list(negatives, len(negatives))}"
+        )
     return warnings
 
 
-def _id_list(ids: list[int], shown: int = 8) -> str:
-    """``ids`` in list form, cut to the first ``shown`` plus a count."""
-    if len(ids) <= shown:
-        return str(ids)
-    head = ", ".join(map(str, ids[:shown]))
-    return f"[{head}, ...] ({len(ids)} in all)"
+def _id_list(ids: Iterable[int], count: int, shown: int = 8) -> str:
+    """The first ``shown`` of ``count`` ids in list form, plus the count if cut."""
+    head = list(islice(ids, shown))
+    if count <= shown:
+        return str(head)
+    return f"[{', '.join(map(str, head))}, ...] ({count} in all)"
 
 
 def parse_instance(text: str) -> Instance:
@@ -253,10 +256,10 @@ def _parse_lines(text: str, require_roles: bool):
 
     if vertex_count is None:
         raise ParseError(1, "empty input, expected 'vertices <n>'")
-    if require_roles:
-        missing = [v for v in range(vertex_count) if v not in roles]
-        if missing:
-            raise ValidationError(f"no 'v' line for vertices {_id_list(missing)}")
+    if require_roles and len(roles) < vertex_count:
+        missing = (v for v in range(vertex_count) if v not in roles)
+        count = vertex_count - len(roles)
+        raise ValidationError(f"no 'v' line for vertices {_id_list(missing, count)}")
     return vertex_count, weights, ships, edges, score
 
 

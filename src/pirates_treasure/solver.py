@@ -13,21 +13,22 @@ Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
 treasure and give -1 or +1 (:mod:`.theory.conventions`).
 
-:func:`best_moves` finds the optimal first moves for :func:`solve` and
-the sum report alike: one exact search of the root gives the final score,
-then a zero-window test per first move (:meth:`Search.at_least`) asks
-whether its child still reaches that score, so no other move is valued.
-The principal variation takes, at each step, the first move in (ship,
-target vertex) order that passes the same test.  ``minimax_final_score``
-is a deliberately plain exhaustive recursion kept as a reference
+:func:`best_moves` finds the optimal first moves for :func:`solve`, sums
+and the normal and misere reports alike, in the mover's frame: the root
+is packed and searched once for the mover's value ``v``, and a first
+move taking pile ``w`` keeps ``v`` exactly when a zero-window search of
+its packed child shows the opponent gets at most ``w - v``.  The
+principal variation takes, at each step, the first move in (ship, target
+vertex) order that passes the same test.  ``minimax_final_score`` is a
+deliberately plain exhaustive recursion kept as a reference
 implementation; the test suite holds the two routes equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Player, Position, Move, initial_position, moves_for, apply_move
 from .errors import BudgetExceededError
@@ -158,10 +159,10 @@ class Search:
 
     def _root(self, positions: Sequence[Position], to_move: Player, alpha: int, beta: int) -> int:
         """Score still to come for Left, searched in Left's window (alpha, beta)."""
-        lships, rships, visited = _union_state(positions)
+        root = _union_state(positions, to_move)
         if to_move is Player.LEFT:
-            return self.value(lships, rships, visited, alpha, beta)
-        return -self.value(rships, lships, visited, -beta, -alpha)
+            return self.value(*root, alpha, beta)
+        return -self.value(*root, -beta, -alpha)
 
     def value(self, ships, others, visited, alpha, beta):
         """Optimal score still to come for the mover, who owns ``ships``;
@@ -228,9 +229,9 @@ class Search:
 
 
 def _union_state(
-    positions: Sequence[Position],
+    positions: Sequence[Position], mover: Player
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Packed (Left fleet, Right fleet, plundered mask) of boards side by side."""
+    """Packed (mover's fleet, other fleet, plundered mask) of boards side by side."""
     lships: list[int] = []
     rships: list[int] = []
     visited = 0
@@ -245,21 +246,9 @@ def _union_state(
         offset += pos.instance.graph.vertex_count
     lships.sort()
     rships.sort()
-    return tuple(lships), tuple(rships), visited
-
-
-def left_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Terminal score under best play from ``pos`` with Left to move."""
-    if pos.to_move is not Player.LEFT:
-        raise ValueError("position must have Left to move")
-    return Search([pos.instance], budget).final_score((pos,), pos.to_move)
-
-
-def right_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Terminal score under best play from ``pos`` with Right to move."""
-    if pos.to_move is not Player.RIGHT:
-        raise ValueError("position must have Right to move")
-    return Search([pos.instance], budget).final_score((pos,), pos.to_move)
+    if mover is Player.LEFT:
+        return tuple(lships), tuple(rships), visited
+    return tuple(rships), tuple(lships), visited
 
 
 def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
@@ -298,49 +287,46 @@ def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     )
 
 
-def move_values(
-    positions: Sequence[Position], to_move: Player, evaluate: Callable
-) -> list[tuple[tuple[int, Move], Any]]:
-    """Value of every move from the boards side by side, in generation order.
-
-    A move is (component index, move on that component).  ``evaluate`` is
-    a search method such as ``Search.final_score`` or ``Search.left_wins``;
-    it gets the child's boards and the opponent to move.
-    """
-    positions = tuple(positions)
-    out = []
-    for ci, pos in enumerate(positions):
-        mover = replace(pos, to_move=to_move)
-        for m in moves_for(pos, to_move):
-            child = positions[:ci] + (apply_move(mover, m),) + positions[ci + 1 :]
-            out.append(((ci, m), evaluate(child, to_move.opponent)))
-    return out
-
-
 def best_moves(
     search: Search, positions: Sequence[Position], first: Player
 ) -> tuple[int, frozenset[tuple[int, Move]]]:
     """Final score and optimal (component, move) first moves.
 
-    The root is searched once for its final score ``S``; a first move is
-    optimal when its child still reaches ``S``, which one zero-window test
-    per move decides without valuing the child.  With no move the banked
-    score is final.
+    The root is packed and searched once; the optimal moves are those that
+    keep its value (:func:`_keeping`).  With no move the banked score is
+    final.
     """
-    score = search.final_score(positions, first)
-    values = move_values(positions, first, _reaches(search, first, score))
-    return score, frozenset(m for m, ok in values if ok)
+    root = _union_state(positions, first)
+    v = search.value(*root, -search.inf, search.inf)
+    banked = search._banked(positions)
+    score = banked + v if first is Player.LEFT else banked - v
+    return score, frozenset(_keeping(search, positions, first, root, v))
 
 
-def _reaches(search: Search, mover: Player, score: int) -> Callable:
-    """Test on a child of ``mover``'s move: does the mover still get ``score``?
+def _keeping(search: Search, positions: Sequence[Position], mover: Player, root, v: int):
+    """First moves, lazily and in generation order, that keep the value ``v``
+    still to come for the mover from ``root``, the packed ``positions``."""
+    for move, w, child in _children(search, positions, mover, root):
+        t = w - v
+        # a state is worth at most inf - 1 to its mover: such a test passes unsearched
+        if t >= search.inf - 1 or search.value(*child, t, t + 1) <= t:
+            yield move
 
-    Left is sure of ``score`` when Left forces at least it; Right when Left
-    cannot force more.  Neither can do better than an optimal score.
-    """
-    if mover is Player.LEFT:
-        return lambda child, to_move: search.at_least(child, to_move, score)
-    return lambda child, to_move: not search.at_least(child, to_move, score + 1)
+
+def _children(search: Search, positions: Sequence[Position], mover: Player, root):
+    """Each (component, move) of ``mover`` with the pile it takes and the
+    child packed from ``root`` for the opponent; the moves, ship indices
+    included, are those of :func:`moves_for` on the unsorted fleets."""
+    ships, others, visited = root
+    offset = 0
+    for ci, pos in enumerate(positions):
+        fleet = pos.ships_of(mover)
+        for move in moves_for(pos, mover):
+            at = fleet[move.ship] + offset
+            to = move.to + offset
+            moved = tuple(sorted(to if s == at else s for s in ships))
+            yield (ci, move), search.wt[to], (others, moved, visited | 1 << to)
+        offset += pos.instance.graph.vertex_count
 
 
 def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Move, ...]:
@@ -348,15 +334,13 @@ def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Mov
     step the first move in (ship, target vertex) order that keeps it."""
     line = []
     while True:
-        reaches = _reaches(search, pos.to_move, score)
-        for move in moves_for(pos, pos.to_move):
-            child = apply_move(pos, move)
-            if reaches((child,), child.to_move):
-                break
-        else:
+        mover = pos.to_move
+        v = score - pos.score if mover is Player.LEFT else pos.score - score
+        kept = next(_keeping(search, (pos,), mover, _union_state((pos,), mover), v), None)
+        if kept is None:
             return tuple(line)
-        line.append(move)
-        pos = child
+        line.append(kept[1])
+        pos = apply_move(pos, kept[1])
 
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -417,11 +401,8 @@ def greedy_score(
         return result
 
     pos = initial_position(inst, first_player)
-    l, r, visited = _union_state((pos,))
-    greedy_first = greedy_player is first_player
-    if first_player is Player.LEFT:
-        return pos.score + rec(l, r, visited, greedy_first)
-    return pos.score - rec(r, l, visited, greedy_first)
+    to_come = rec(*_union_state((pos,), first_player), greedy_player is first_player)
+    return pos.score + to_come if first_player is Player.LEFT else pos.score - to_come
 
 
 def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -457,5 +438,5 @@ def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int
             return 0
         return max(results) if left_to_move else min(results)
 
-    l, r, visited = _union_state((pos,))
+    l, r, visited = _union_state((pos,), Player.LEFT)
     return pos.score + rec(l, r, visited, pos.to_move is Player.LEFT)

@@ -9,7 +9,10 @@ All three use the solver's one search kernel on the components laid side
 by side as a single board.  Normal and misere play differ from scoring
 play only in the value of a state whose mover is stuck: treasure counts
 for nothing, and the stuck mover gets -1 (normal) or +1 (misere) from its
-own side, so the sign of the searched value names the winner.
+own side, so the sign of the searched value names the winner.  Best first
+moves come from the solver's one mover-side routine, ``solver.best_moves``,
+on that win/loss search: the moves that keep the mover's value are the
+winning moves in a won game and every move in a lost one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ..solver import (
     FinalScores,
     OutcomeClass,
     Search,
-    move_values,
+    best_moves,
 )
 
 
@@ -83,15 +86,12 @@ def convention_best_moves(
 ) -> frozenset[SumMove]:
     """First moves optimal under the given convention.
 
-    When the mover wins these are the winning moves; in a lost game no
-    move is better than another, so all of them count as best.
+    These are the moves that keep the mover's value: when the mover wins,
+    the winning moves; in a lost game no move is better than another, so
+    all of them count as best.
     """
     sp = _as_sum(state, first)
-    search = _search(sp, misere, budget)
-    values = move_values(sp.components, sp.to_move, search.left_wins)
-    mover_is_left = sp.to_move is Player.LEFT
-    winning = frozenset(m for m, left_wins in values if left_wins == mover_is_left)
-    return winning if winning else frozenset(m for m, _ in values)
+    return best_moves(_search(sp, misere, budget), sp.components, sp.to_move)[1]
 
 
 @dataclass(frozen=True)

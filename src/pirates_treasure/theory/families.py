@@ -8,11 +8,11 @@ they get first-class generators here.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
 
 from ..errors import ValidationError
-from ..model import Graph, Instance, serialize_instance, validate
+from ..model import Graph, Instance, validate
 
 
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -59,66 +59,36 @@ def uniform_instance(graph: Graph, left: int, right: int, value: int) -> Instanc
     return Instance(graph, weights, (left,), (right,))
 
 
-def enumerate_ptx(n: int, x: int, up_to_iso: bool = False) -> Iterator[Instance]:
+def enumerate_ptx(n: int, x: int) -> Iterator[Instance]:
     """All connected n-vertex boards with uniform value x, one ship each side.
 
-    Streams labeled boards by default: every connected labeled graph times
-    every ordered choice of distinct (Left, Right) berths.  With
-    ``up_to_iso`` isomorphic boards collapse to one representative
-    (feasible for n <= 6).
+    Streams labeled boards: every connected labeled graph times every
+    ordered choice of distinct (Left, Right) berths.
     """
     if x <= 0:
         raise ValidationError(
             "uniform value must be positive; with x = 0 every game ties and "
             "the family is trivial"
         )
-    yield from _enumerate_uniform(n, x, up_to_iso)
+    yield from _enumerate_uniform(n, x)
 
 
-def enumerate_pt_negx(n: int, x: int, up_to_iso: bool = False) -> Iterator[Instance]:
+def enumerate_pt_negx(n: int, x: int) -> Iterator[Instance]:
     """Mirror family: every pile worth -x for the given x > 0."""
     if x <= 0:
         raise ValidationError("x must be positive; the piles are negated internally")
-    yield from _enumerate_uniform(n, -x, up_to_iso)
+    yield from _enumerate_uniform(n, -x)
 
 
-def _enumerate_uniform(n: int, value: int, up_to_iso: bool) -> Iterator[Instance]:
+def _enumerate_uniform(n: int, value: int) -> Iterator[Instance]:
     if not 2 <= n <= 7:
         raise ValidationError("exhaustive enumeration supports 2 <= n <= 7")
-    if up_to_iso and n > 6:
-        raise ValidationError("isomorphism reduction supports n <= 6")
-    seen: set[str] = set()
     for graph in connected_labeled_graphs(n):
         for left in range(n):
             for right in range(n):
                 if left == right:
                     continue
-                inst = uniform_instance(graph, left, right, value)
-                if up_to_iso:
-                    key = _isomorphism_key(inst)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield inst
-
-
-def _isomorphism_key(inst: Instance) -> str:
-    """Smallest serialization over all relabelings; uniform boards only."""
-    n = inst.graph.vertex_count
-    left = inst.left_starts[0]
-    right = inst.right_starts[0]
-    value = next(iter(inst.weights.values()), 0)
-    best: str | None = None
-    for perm in permutations(range(n)):
-        edges = frozenset(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in inst.graph.edges
-        )
-        relabeled = uniform_instance(Graph(n, edges), perm[left], perm[right], value)
-        text = serialize_instance(relabeled)
-        if best is None or text < best:
-            best = text
-    assert best is not None
-    return best
+                yield uniform_instance(graph, left, right, value)
 
 
 def random_connected_graph(

@@ -23,13 +23,13 @@ from pirates_treasure.fixtures import (
 )
 from pirates_treasure.model import random_instance
 from pirates_treasure.solver import (
+    DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
+    Search,
     classify,
     greedy_score,
-    left_final_score,
     minimax_final_score,
-    right_final_score,
     solve,
 )
 from pirates_treasure.theory import (
@@ -183,7 +183,7 @@ def test_08_search_matches_reference_on_a_thousand_boards():
         )
         for first in (L, R):
             pos = initial_position(inst, first)
-            fast = left_final_score(pos) if first is L else right_final_score(pos)
+            fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
             if fast != minimax_final_score(pos):
                 mismatches += 1
         checked += 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pirates_treasure.algebra import (
@@ -17,7 +19,6 @@ from pirates_treasure.algebra import (
     sum_position,
     sum_trees,
     tree_final_scores,
-    tree_identical,
 )
 from pirates_treasure.engine import Move, Player, initial_position
 from pirates_treasure.errors import BudgetExceededError
@@ -30,13 +31,14 @@ from pirates_treasure.fixtures import (
     fig_half,
     tab_case,
 )
-from pirates_treasure.model import Graph, Instance
+from pirates_treasure.model import Graph, Instance, random_instance
 from pirates_treasure.solver import (
     FinalScores,
     OutcomeClass,
     Search,
+    _children,
+    _union_state,
     final_scores,
-    move_values,
 )
 
 L = Player.LEFT
@@ -56,7 +58,7 @@ def test_extract_tree_matches_hand_expansion():
         frozenset({leaf(1), after_left_to_v0}),
         frozenset({after_right_to_v2}),
     )
-    assert tree_identical(_tree(fig_half), expected)
+    assert _tree(fig_half) == expected
 
 
 def test_render_tree_bracket_form():
@@ -71,7 +73,7 @@ def test_tree_scores_match_state_solver():
 
 def test_negate_tree_is_an_involution():
     t = _tree(fig_ex)
-    assert tree_identical(negate_tree(negate_tree(t)), t)
+    assert negate_tree(negate_tree(t)) == t
 
 
 def test_negate_tree_mirrors_scores():
@@ -85,7 +87,7 @@ def test_negate_instance_matches_negate_tree():
     for builder in (fig_half, fig_ex, _three_path):
         inst = builder()
         mirrored = extract_tree(initial_position(negate_instance(inst), L))
-        assert tree_identical(mirrored, negate_tree(extract_tree(initial_position(inst, L))))
+        assert mirrored == negate_tree(extract_tree(initial_position(inst, L)))
 
 
 def test_negate_instance_round_trips():
@@ -98,29 +100,27 @@ def test_shift_tree_matches_initial_score():
 
     inst = fig_half()
     shifted_inst = dataclasses.replace(inst, initial_score=5)
-    assert tree_identical(
-        extract_tree(initial_position(shifted_inst, L)),
-        shift_tree(extract_tree(initial_position(inst, L)), 5),
+    assert (
+        extract_tree(initial_position(shifted_inst, L))
+        == shift_tree(extract_tree(initial_position(inst, L)), 5)
     )
 
 
 def test_sum_with_zero_game_changes_nothing():
     for builder in (fig_half, _three_path):
         t = _tree(builder)
-        assert tree_identical(sum_trees(t, leaf(0)), t)
-        assert tree_identical(sum_trees(leaf(0), t), t)
+        assert sum_trees(t, leaf(0)) == t
+        assert sum_trees(leaf(0), t) == t
 
 
 def test_sum_trees_commutes():
     a, b = _tree(fig_half), _tree(_three_path)
-    assert tree_identical(sum_trees(a, b), sum_trees(b, a))
+    assert sum_trees(a, b) == sum_trees(b, a)
 
 
 def test_sum_trees_associates():
     a, b, c = _tree(fig_half), _tree(_three_path), _tree(_left_edge)
-    assert tree_identical(
-        sum_trees(sum_trees(a, b), c), sum_trees(a, sum_trees(b, c))
-    )
+    assert sum_trees(sum_trees(a, b), c) == sum_trees(a, sum_trees(b, c))
 
 
 @pytest.mark.parametrize("case", sorted(TAB_CASES))
@@ -149,14 +149,40 @@ def test_final_scores_of_boards_side_by_side_match_the_sum_report(case):
     assert final_scores(*reversed_order) == final_scores(*instances)
 
 
-def test_move_values_follow_sum_move_generation():
-    sp = sum_position([fig_add_b(), fig_half(), fig_ex()], R)
-    search = Search([c.instance for c in sp.components], 10**6)
-    values = move_values(sp.components, sp.to_move, search.final_score)
-    assert [m for m, _ in values] == sum_legal_moves(sp)
-    for m, v in values:
-        child = sum_apply(sp, m)
-        assert v == search.final_score(child.components, child.to_move)
+def test_packed_children_follow_sum_move_generation():
+    # Played-in fleets are no longer sorted, so a ship index must be read
+    # from the component's own fleet, not from the packed (sorted) one.
+    rng = random.Random(6)
+    for trial in range(300):
+        boards = []
+        for _ in range(rng.randint(1, 2)):
+            left, right = rng.randint(1, 3), rng.randint(1, 3)
+            boards.append(
+                random_instance(
+                    vertex_count=rng.randint(left + right, 9),
+                    edge_probability=rng.uniform(0.3, 0.9),
+                    weight_range=(-3, 4),
+                    left_ships=left,
+                    right_ships=right,
+                    seed=rng.randrange(10**6),
+                )
+            )
+        sp = sum_position(boards, rng.choice([L, R]))
+        for _ in range(rng.randint(0, 4)):
+            moves = sum_legal_moves(sp)
+            if not moves:
+                break
+            sp = sum_apply(sp, rng.choice(moves))
+        search = Search(boards, 10**6)
+        mover = sp.to_move
+        root = _union_state(sp.components, mover)
+        children = list(_children(search, sp.components, mover, root))
+        assert [m for m, _, _ in children] == sum_legal_moves(sp), trial
+        sign = 1 if mover is L else -1
+        for m, gain, child in children:
+            after = sum_apply(sp, m)
+            assert child == _union_state(after.components, mover.opponent), (trial, m)
+            assert gain == sign * (after.score - sp.score), (trial, m)
 
 
 def test_empty_sum_is_the_zero_game():

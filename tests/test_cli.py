@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from pirates_treasure import cli
@@ -123,6 +125,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "pt-x")
     assert code == 1
     assert "violations=1" in out
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_verify_rejects_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
+    def sweep(**kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "check_no_p_positions", sweep)
+    code, out, err = run(capsys, "verify", "pt-x", "--jobs", str(jobs))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --jobs must be between 1 and ")
+    assert len(err.splitlines()) == 1
 
 
 def test_compare(capsys, fixtures_dir):

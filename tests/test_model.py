@@ -215,6 +215,17 @@ def test_missing_vertex_list_is_cut_short():
     assert "[0, 1, 2" in message and "200000 in all" in message
 
 
+def test_missing_vertex_message_names_the_first_eight_and_the_count():
+    with pytest.raises(ValidationError) as exc:
+        parse_instance("vertices 30000000\n")
+    assert str(exc.value) == (
+        "no 'v' line for vertices [0, 1, 2, 3, 4, 5, 6, 7, ...] (30000000 in all)"
+    )
+    with pytest.raises(ValidationError) as exc:
+        parse_instance("vertices 12\nv 0 ship L\nv 3 ship R\nv 5 value 2\ne 0 3\n")
+    assert str(exc.value) == "no 'v' line for vertices [1, 2, 4, 6, 7, 8, 9, 10, ...] (9 in all)"
+
+
 def test_short_missing_vertex_list_stays_whole():
     with pytest.raises(ValidationError, match=r"no 'v' line for vertices \[1, 2\]$"):
         parse_instance("vertices 3\nv 0 ship L\n")

@@ -19,19 +19,19 @@ from pirates_treasure.algebra import (
     sum_position,
     sum_trees,
     tree_final_scores,
-    tree_identical,
 )
 from pirates_treasure.engine import Player, apply_move, initial_position, legal_moves
+from pirates_treasure.errors import ParseError, ValidationError
 from pirates_treasure.model import parse_instance, random_instance, serialize_instance
 from pirates_treasure.solver import (
+    DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
+    Search,
     classify,
     final_scores,
-    left_final_score,
     left_wins_moving_first,
     minimax_final_score,
-    right_final_score,
 )
 
 L = Player.LEFT
@@ -67,12 +67,34 @@ def test_round_trip_preserves_the_board(inst):
     assert again == inst
 
 
+_FIELDS = st.one_of(st.integers(-2, 9), st.integers(-(10**12), 10**12))
+
+#: Lines shaped like the grammar, with any integers, plus free text.
+_LINES = st.one_of(
+    st.builds("vertices {}".format, _FIELDS),
+    st.builds("v {} value {}".format, _FIELDS, _FIELDS),
+    st.builds("v {} ship {}".format, _FIELDS, st.sampled_from(["L", "R", "X"])),
+    st.builds("e {} {}".format, _FIELDS, _FIELDS),
+    st.builds("score {}".format, _FIELDS),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), st.lists(_LINES, max_size=14).map("\n".join)))
+def test_parser_raises_only_its_own_errors(text):
+    try:
+        parse_instance(text)
+    except (ParseError, ValidationError):
+        pass
+
+
 @SETTINGS
 @given(boards(max_vertices=6))
 def test_alpha_beta_agrees_with_reference_minimax(inst):
     for first in (L, R):
         pos = initial_position(inst, first)
-        fast = left_final_score(pos) if first is L else right_final_score(pos)
+        fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
         assert fast == minimax_final_score(pos)
 
 
@@ -80,7 +102,8 @@ def test_alpha_beta_agrees_with_reference_minimax(inst):
 @given(boards(max_vertices=6, max_ships=2))
 def test_fleets_agree_with_reference_minimax(inst):
     pos = initial_position(inst, L)
-    assert left_final_score(pos) == minimax_final_score(pos)
+    fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+    assert fast == minimax_final_score(pos)
 
 
 @SETTINGS
@@ -126,17 +149,17 @@ def test_tree_scores_match_state_scores(inst):
 def test_negate_tree_matches_negate_instance(inst):
     tree = extract_tree(initial_position(inst, L))
     mirrored = extract_tree(initial_position(negate_instance(inst), L))
-    assert tree_identical(mirrored, negate_tree(tree))
-    assert tree_identical(negate_tree(negate_tree(tree)), tree)
+    assert mirrored == negate_tree(tree)
+    assert negate_tree(negate_tree(tree)) == tree
 
 
 @SETTINGS
 @given(boards(max_vertices=5), st.integers(-8, 8))
 def test_shift_matches_initial_score(inst, delta):
     shifted = dataclasses.replace(inst, initial_score=inst.initial_score + delta)
-    assert tree_identical(
-        extract_tree(initial_position(shifted, L)),
-        shift_tree(extract_tree(initial_position(inst, L)), delta),
+    assert (
+        extract_tree(initial_position(shifted, L))
+        == shift_tree(extract_tree(initial_position(inst, L)), delta)
     )
 
 
@@ -145,7 +168,7 @@ def test_shift_matches_initial_score(inst, delta):
 def test_tree_sum_commutes_and_matches_state_sum(a, b):
     ta = extract_tree(initial_position(a, L))
     tb = extract_tree(initial_position(b, L))
-    assert tree_identical(sum_trees(ta, tb), sum_trees(tb, ta))
+    assert sum_trees(ta, tb) == sum_trees(tb, ta)
     assert tree_final_scores(sum_trees(ta, tb)) == solve_sum(sum_position([a, b], L)).final_scores
 
 

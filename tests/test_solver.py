@@ -19,16 +19,15 @@ from pirates_treasure.errors import BudgetExceededError
 from pirates_treasure.fixtures import fig_ex, fig_ex1, fig_half
 from pirates_treasure.model import Graph, Instance, random_instance
 from pirates_treasure.solver import (
+    DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
     Search,
     classify,
     final_scores,
     greedy_score,
-    left_final_score,
     left_wins_moving_first,
     minimax_final_score,
-    right_final_score,
     solve,
 )
 
@@ -110,17 +109,6 @@ def test_pv_starts_with_lexicographically_first_best_move():
     assert report.pv_right[0] == min(report.best_first_moves_right, key=Move.sort_key)
 
 
-def test_first_mover_helpers_check_turn():
-    left_pos = initial_position(fig_ex(), L)
-    right_pos = initial_position(fig_ex(), R)
-    assert left_final_score(left_pos) == 2
-    assert right_final_score(right_pos) == 2
-    with pytest.raises(ValueError):
-        left_final_score(right_pos)
-    with pytest.raises(ValueError):
-        right_final_score(left_pos)
-
-
 def test_initial_score_shifts_both_results():
     inst = fig_ex()
     shifted = dataclasses.replace(inst, initial_score=5)
@@ -150,7 +138,7 @@ def test_alpha_beta_matches_plain_minimax():
         inst = random_instance(n, rng.uniform(0.3, 0.9), (-3, 4), 1, 1, seed=seed)
         for first in (L, R):
             pos = initial_position(inst, first)
-            fast = left_final_score(pos) if first is L else right_final_score(pos)
+            fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
             assert fast == minimax_final_score(pos), f"seed {seed}, {first} first"
 
 
@@ -158,7 +146,8 @@ def test_two_ship_fleets_agree_with_minimax():
     for seed in range(20):
         inst = random_instance(7, 0.6, (1, 3), 2, 1, seed=1000 + seed)
         pos = initial_position(inst, L)
-        assert left_final_score(pos) == minimax_final_score(pos)
+        fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+        assert fast == minimax_final_score(pos)
 
 
 def test_decision_form_matches_full_solve():

@@ -56,12 +56,6 @@ def test_enumerate_ptx_counts():
     assert sum(1 for _ in enumerate_ptx(4, 1)) == 456
 
 
-def test_enumerate_ptx_up_to_iso_counts():
-    assert sum(1 for _ in enumerate_ptx(2, 1, up_to_iso=True)) == 1
-    assert sum(1 for _ in enumerate_ptx(3, 1, up_to_iso=True)) == 4
-    assert sum(1 for _ in enumerate_ptx(4, 1, up_to_iso=True)) == 23
-
-
 def test_enumerate_families_reject_bad_args():
     with pytest.raises(ValidationError):
         list(enumerate_ptx(3, 0))
@@ -71,8 +65,6 @@ def test_enumerate_families_reject_bad_args():
         list(enumerate_ptx(1, 1))
     with pytest.raises(ValidationError):
         list(enumerate_ptx(8, 1))
-    with pytest.raises(ValidationError):
-        list(enumerate_ptx(7, 1, up_to_iso=True))
     with pytest.raises(ValidationError):
         list(enumerate_pt_negx(3, -1))
 
