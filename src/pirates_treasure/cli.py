@@ -22,7 +22,7 @@ from .algebra import (
     solve_sum,
     sum_position,
 )
-from .engine import Move, Player, Position, format_move, initial_position
+from .engine import Move, Player, Position, apply_move, format_move, initial_position
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .model import (
     GridSpec,
@@ -196,8 +196,6 @@ def _cmd_solve(args) -> int:
 
 
 def _pv_text(pos: Position, line) -> str:
-    from .engine import apply_move
-
     parts = []
     for move in line:
         parts.append(format_move(pos, move))
@@ -273,66 +271,36 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    def picked(value, default):
-        return default if value is None else value
-
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValidationError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    reports = []
-    if args.claim == "reduction":
-        reports.append(
-            check_reduction_sweep(
-                max_n=picked(args.max_n, 5), jobs=args.jobs, budget=args.max_nodes
-            )
-        )
-    elif args.claim == "pt-x":
-        reports.append(
-            check_no_p_positions(
-                max_exhaustive_n=picked(args.max_n, 4),
-                random_trials=picked(args.seeds, 500),
-                seed=picked(args.seed, 101),
-                jobs=args.jobs,
-                budget=args.max_nodes,
-            )
-        )
-    elif args.claim == "pt-negx":
-        reports.append(
-            check_no_n_positions(
-                max_exhaustive_n=picked(args.max_n, 4),
-                random_trials=picked(args.seeds, 500),
-                seed=picked(args.seed, 102),
-                jobs=args.jobs,
-                budget=args.max_nodes,
-            )
-        )
-    elif args.claim == "table":
-        reports.append(
-            check_outcome_table(
-                trials=picked(args.seeds, 300),
-                max_component_n=picked(args.max_n, 4),
-                seed=picked(args.seed, 103),
-                jobs=args.jobs,
-                budget=args.max_nodes,
-            )
-        )
+    # claim: (sweep, --max-n keyword and default, --seeds keyword and default);
+    # --seed goes to the sweeps that draw random boards, whose own default it
+    # otherwise keeps
+    claims = {
+        "reduction": (check_reduction_sweep, ("max_n", 5), None),
+        "pt-x": (check_no_p_positions, ("max_exhaustive_n", 4), ("random_trials", 500)),
+        "pt-negx": (check_no_n_positions, ("max_exhaustive_n", 4), ("random_trials", 500)),
+        "table": (check_outcome_table, ("max_component_n", 4), ("trials", 300)),
+        "self-sum": (check_self_sum_tie, ("max_exhaustive_n", 3), ("random_trials", 200)),
+    }
+    sweep, (size_key, size), seeds = claims[args.claim]
+    kwargs = {
+        size_key: size if args.max_n is None else args.max_n,
+        "jobs": args.jobs,
+        "budget": args.max_nodes,
+    }
+    if seeds is not None:
+        trials_key, trials = seeds
+        kwargs[trials_key] = trials if args.seeds is None else args.seeds
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
+    reports = [sweep(**kwargs)]
+    if args.claim == "table":
         reports.append(check_table_witnesses(budget=args.max_nodes))
-    else:  # self-sum
-        reports.append(
-            check_self_sum_tie(
-                max_exhaustive_n=picked(args.max_n, 3),
-                random_trials=picked(args.seeds, 200),
-                seed=picked(args.seed, 104),
-                jobs=args.jobs,
-                budget=args.max_nodes,
-            )
-        )
-    failed = False
     for report in reports:
         print(report.summary())
-        if not report.passed:
-            failed = True
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_compare(args) -> int:

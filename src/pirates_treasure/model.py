@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -79,22 +79,28 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n <= 1:
-            return True
-        adj = self.adjacency_bits
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << n) - 1
+        return adjacency_connected(self.adjacency_bits)
+
+
+def adjacency_connected(adj: Sequence[int]) -> bool:
+    """Is the graph with these per-vertex neighbor bitmasks connected?
+
+    Breadth-first from vertex 0, one frontier bitmask per step.  Graphs
+    with at most one vertex count as connected.
+    """
+    if len(adj) <= 1:
+        return True
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            b = m & -m
+            m ^= b
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << len(adj)) - 1
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,24 @@ play counts treasure.  All three run on the same positions here so their
 preferred first moves can be compared.  Agreement between conventions on
 particular boards is reported as an observation, nothing more.
 
-All three use the solver's one search kernel on the components laid side
-by side as a single board.  Normal and misere play differ from scoring
-play only in the value of a state whose mover is stuck: treasure counts
-for nothing, and the stuck mover gets -1 (normal) or +1 (misere) from its
-own side, so the sign of the searched value names the winner.  Best first
-moves come from the solver's one mover-side routine, ``solver.best_moves``,
-on that win/loss search: the moves that keep the mover's value are the
-winning moves in a won game and every move in a lost one.
+All three use the solver's one search kernel on the components of a
+:class:`SumPosition` laid side by side as a single board.  Normal and
+misere play differ from scoring play only in the value of a state whose
+mover is stuck: treasure counts for nothing, and the stuck mover gets -1
+(normal) or +1 (misere) from its own side, so every score is +1 or -1 and
+its sign names the winner.  One win/loss search per convention gives both
+answers: ``solver.best_moves`` returns that score with the moves that keep
+the mover's value, which are the winning moves in a won game and every
+move in a lost one.  :func:`normal_outcome` and :func:`misere_outcome`
+ask the winner alone, by a cheaper zero-window test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra import SumMove, SumPosition, solve_sum, sum_position
-from ..engine import Player, Position
-from ..model import Instance
+from ..algebra import SumMove, SumPosition, solve_sum
+from ..engine import Player
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     FinalScores,
@@ -29,20 +30,6 @@ from ..solver import (
     Search,
     best_moves,
 )
-
-
-def _as_sum(state: Instance | Position | SumPosition, first: Player | None) -> SumPosition:
-    if isinstance(state, SumPosition):
-        sp = state
-    elif isinstance(state, Position):
-        sp = SumPosition((state,), state.to_move)
-    elif isinstance(state, Instance):
-        sp = sum_position([state], first or Player.LEFT)
-    else:
-        raise TypeError(f"cannot interpret {type(state).__name__} as a position")
-    if first is not None and sp.to_move is not first:
-        sp = SumPosition(sp.components, first)
-    return sp
 
 
 def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
@@ -54,35 +41,23 @@ def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
     )
 
 
-def _winner(search: Search, sp: SumPosition) -> Player:
+def _winner(sp: SumPosition, misere: bool, budget: int) -> Player:
+    search = _search(sp, misere, budget)
     return Player.LEFT if search.left_wins(sp.components, sp.to_move) else Player.RIGHT
 
 
-def normal_outcome(
-    state: Instance | Position | SumPosition,
-    first: Player | None = None,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> Player:
+def normal_outcome(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> Player:
     """Winner under optimal last-move-wins play, scores ignored."""
-    sp = _as_sum(state, first)
-    return _winner(_search(sp, False, budget), sp)
+    return _winner(sp, False, budget)
 
 
-def misere_outcome(
-    state: Instance | Position | SumPosition,
-    first: Player | None = None,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> Player:
+def misere_outcome(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> Player:
     """Winner under optimal last-move-loses play, scores ignored."""
-    sp = _as_sum(state, first)
-    return _winner(_search(sp, True, budget), sp)
+    return _winner(sp, True, budget)
 
 
 def convention_best_moves(
-    state: Instance | Position | SumPosition,
-    misere: bool,
-    first: Player | None = None,
-    budget: int = DEFAULT_NODE_BUDGET,
+    sp: SumPosition, misere: bool, budget: int = DEFAULT_NODE_BUDGET
 ) -> frozenset[SumMove]:
     """First moves optimal under the given convention.
 
@@ -90,7 +65,6 @@ def convention_best_moves(
     the winning moves; in a lost game no move is better than another, so
     all of them count as best.
     """
-    sp = _as_sum(state, first)
     return best_moves(_search(sp, misere, budget), sp.components, sp.to_move)[1]
 
 
@@ -123,29 +97,32 @@ class ConventionReport:
 
 
 def convention_comparison(
-    state: Instance | Position | SumPosition, budget: int = DEFAULT_NODE_BUDGET
+    sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET
 ) -> ConventionReport:
-    """Solve the same board under all three conventions."""
-    sp = _as_sum(state, None)
+    """Solve the same board under all three conventions, both sides first.
+
+    ``sp.to_move`` is not read.  Scoring play is :func:`solve_sum`.  Normal
+    and misere play take one win/loss search each, shared by both first
+    players: ``best_moves`` gives the ±1 score, whose sign names the
+    winner, and the best moves.
+    """
     scoring = solve_sum(sp, budget)
-    scoring_best = {
-        Player.LEFT: scoring.best_first_moves_left,
-        Player.RIGHT: scoring.best_first_moves_right,
-    }
-    normal_winner = {}
-    misere_winner = {}
-    normal_best = {}
-    misere_best = {}
-    for first in (Player.LEFT, Player.RIGHT):
-        rooted = SumPosition(sp.components, first)
-        normal_winner[first] = normal_outcome(rooted, budget=budget)
-        misere_winner[first] = misere_outcome(rooted, budget=budget)
-        normal_best[first] = convention_best_moves(rooted, misere=False, budget=budget)
-        misere_best[first] = convention_best_moves(rooted, misere=True, budget=budget)
+    verdicts = []
+    for misere in (False, True):
+        search = _search(sp, misere, budget)
+        winner, best = {}, {}
+        for first in (Player.LEFT, Player.RIGHT):
+            score, best[first] = best_moves(search, sp.components, first)
+            winner[first] = Player.LEFT if score > 0 else Player.RIGHT
+        verdicts.append((winner, best))
+    (normal_winner, normal_best), (misere_winner, misere_best) = verdicts
     return ConventionReport(
         scoring_final=scoring.final_scores,
         scoring_outcome=scoring.outcome,
-        scoring_best_moves=scoring_best,
+        scoring_best_moves={
+            Player.LEFT: scoring.best_first_moves_left,
+            Player.RIGHT: scoring.best_first_moves_right,
+        },
         normal_winner=normal_winner,
         misere_winner=misere_winner,
         normal_best_moves=normal_best,

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator
 
 from ..errors import ValidationError
-from ..model import Graph, Instance, validate
+from ..model import Graph, Instance, adjacency_connected, validate
 
 
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -23,29 +23,14 @@ def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
-    if n == 1:
-        yield Graph(1, frozenset())
-        return
     pairs = list(combinations(range(n), 2))
-    full = (1 << n) - 1
     for mask in range(1 << len(pairs)):
         adj = [0] * n
         for i, (u, v) in enumerate(pairs):
             if mask >> i & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen == full:
+        if adjacency_connected(adj):
             yield Graph.from_edges(
                 n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1)
             )

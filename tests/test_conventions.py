@@ -34,19 +34,19 @@ R = Player.RIGHT
 
 def test_normal_and_misere_winners_on_the_path_board():
     half = fig_half()
-    assert normal_outcome(half, L) is L
-    assert normal_outcome(half, R) is L
-    assert misere_outcome(half, L) is L
-    assert misere_outcome(half, R) is R
+    assert normal_outcome(sum_position([half], L)) is L
+    assert normal_outcome(sum_position([half], R)) is L
+    assert misere_outcome(sum_position([half], L)) is L
+    assert misere_outcome(sum_position([half], R)) is R
 
 
 def test_three_path_first_mover_effects():
     three = _three_path()
     # one forced grab: last to move wins normal play, loses misere play
-    assert normal_outcome(three, L) is L
-    assert normal_outcome(three, R) is R
-    assert misere_outcome(three, L) is R
-    assert misere_outcome(three, R) is L
+    assert normal_outcome(sum_position([three], L)) is L
+    assert normal_outcome(sum_position([three], R)) is R
+    assert misere_outcome(sum_position([three], L)) is R
+    assert misere_outcome(sum_position([three], R)) is L
 
 
 def test_add_sum_right_wins_scoring_and_normal_with_the_same_move():
@@ -86,35 +86,36 @@ def test_agreement_is_vacuous_without_moves():
     assert report.agrees(L, "misere")
 
 
-def test_comparison_accepts_a_bare_instance():
-    report = convention_comparison(fig_half())
+def test_comparison_of_a_single_board():
+    report = convention_comparison(sum_position([fig_half()], L))
     assert report.normal_winner[L] is L
     assert report.scoring_final == FinalScores(1, 0)
 
 
 def test_convention_searches_honor_the_node_budget():
+    ex = sum_position([fig_ex()], L)
     with pytest.raises(BudgetExceededError):
-        normal_outcome(fig_ex(), budget=1)
+        normal_outcome(ex, budget=1)
     with pytest.raises(BudgetExceededError):
-        misere_outcome(fig_ex(), budget=1)
+        misere_outcome(ex, budget=1)
     with pytest.raises(BudgetExceededError):
-        convention_best_moves(fig_ex(), misere=False, budget=1)
+        convention_best_moves(ex, misere=False, budget=1)
 
 
 def test_comparison_passes_its_budget_to_the_convention_searches(monkeypatch):
     from pirates_treasure.theory import conventions
 
     seen = []
-    for name in ("normal_outcome", "misere_outcome", "convention_best_moves"):
-        real = getattr(conventions, name)
+    real = conventions.Search
 
-        def spy(*args, _real=real, **kwargs):
-            seen.append(kwargs.get("budget"))
-            return _real(*args, **kwargs)
+    def spy(instances, budget, **kwargs):
+        seen.append((budget, kwargs["stuck"]))
+        return real(instances, budget, **kwargs)
 
-        monkeypatch.setattr(conventions, name, spy)
-    convention_comparison(fig_ex(), budget=12345)
-    assert seen == [12345] * 8
+    monkeypatch.setattr(conventions, "Search", spy)
+    convention_comparison(sum_position([fig_ex()], L), budget=12345)
+    # one win/loss search per convention, normal then misere
+    assert seen == [(12345, -1), (12345, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +191,10 @@ def test_convention_verdicts_match_the_reference_recursion(sp):
     assert misere_outcome(sp) is _reference_winner(sp, misere=True)
     for misere in (False, True):
         assert convention_best_moves(sp, misere) == _reference_best_moves(sp, misere)
+    report = convention_comparison(sp)
+    for first in (L, R):
+        rooted = SumPosition(sp.components, first)
+        assert report.normal_winner[first] is _reference_winner(rooted, misere=False)
+        assert report.misere_winner[first] is _reference_winner(rooted, misere=True)
+        assert report.normal_best_moves[first] == _reference_best_moves(rooted, misere=False)
+        assert report.misere_best_moves[first] == _reference_best_moves(rooted, misere=True)
