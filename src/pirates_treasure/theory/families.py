@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..errors import ValidationError
 from ..model import Graph, Instance, adjacency_connected, validate
@@ -23,17 +23,37 @@ def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
+    for adj in connected_adjacencies(n, range(1 << n * (n - 1) // 2)):
+        yield graph_from_bits(adj)
+
+
+def connected_adjacencies(n: int, masks: range) -> Iterator[list[int]]:
+    """Per-vertex neighbor bitmasks of each connected graph on 0..n-1 whose
+    edge mask lies in ``masks``, in the order of ``masks``.
+
+    Bit i of an edge mask stands for the i-th pair of
+    ``combinations(range(n), 2)``.
+    """
     pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
+    for mask in masks:
         adj = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            u, v = pairs[b.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         if adjacency_connected(adj):
-            yield Graph.from_edges(
-                n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-            )
+            yield adj
+
+
+def graph_from_bits(adj: Sequence[int]) -> Graph:
+    """The graph with these per-vertex neighbor bitmasks."""
+    n = len(adj)
+    return Graph(
+        n, frozenset((u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1)
+    )
 
 
 def uniform_instance(graph: Graph, left: int, right: int, value: int) -> Instance:

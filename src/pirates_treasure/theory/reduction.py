@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 from ..errors import BudgetExceededError, ValidationError
 from ..model import Graph, GridSpec, Instance, grid_graph
@@ -52,12 +53,32 @@ def reduce_from_hampath(g: Graph, left_start: int) -> ReductionOutput:
     return ReductionOutput(instance=inst, left_start=left_start, path_length=n)
 
 
+def gadget_bits(adj: Sequence[int], left_start: int) -> tuple[list[int], list[int], tuple]:
+    """The board of :func:`reduce_from_hampath`, straight from the graph's
+    neighbor bitmasks: its adjacency, its pile values (0 on the berths) and
+    its packed root with Left to move, ready for :meth:`Search.from_bits`."""
+    n = len(adj)
+    board = list(adj)
+    wt = [1] * (2 * n - 1)
+    wt[left_start] = 0
+    if n < 2:
+        return board, wt, ((left_start,), (), 1 << left_start)
+    wt[n] = 0
+    prev = left_start
+    for fresh in range(n, 2 * n - 1):
+        board[prev] |= 1 << fresh
+        board.append(1 << prev)
+        prev = fresh
+    return board, wt, ((left_start,), (n,), 1 << left_start | 1 << n)
+
+
 def hampath_oracle(g: Graph, start: int | None = None, max_vertices: int = 12) -> bool:
     """Is there a path through every vertex (starting at ``start`` if given)?
 
     A path here must traverse at least one edge, so a one-vertex graph has
     none; that convention is what makes the reduction exact for all sizes.
-    Backtracking search, practical to roughly 12 vertices.
+    Backtracking search (:func:`hampath_from`), practical to roughly 12
+    vertices.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -67,21 +88,27 @@ def hampath_oracle(g: Graph, start: int | None = None, max_vertices: int = 12) -
     if n < 2 or not g.is_connected():
         return False
     adj = g.adjacency_bits
-    full = (1 << n) - 1
+    starts = [start] if start is not None else range(n)
+    return any(hampath_from(adj, s) for s in starts)
 
-    def extend(v: int, visited: int) -> bool:
-        if visited == full:
+
+def hampath_from(adj: Sequence[int], start: int) -> bool:
+    """Is there a path from ``start`` through every vertex of the graph with
+    these neighbor bitmasks?  Backtracking; a one-vertex graph has none."""
+    n = len(adj)
+    return n >= 2 and _extend(adj, (1 << n) - 1, start, 1 << start)
+
+
+def _extend(adj: Sequence[int], full: int, v: int, visited: int) -> bool:
+    if visited == full:
+        return True
+    m = adj[v] & ~visited
+    while m:
+        b = m & -m
+        m ^= b
+        if _extend(adj, full, b.bit_length() - 1, visited | b):
             return True
-        m = adj[v] & ~visited
-        while m:
-            b = m & -m
-            m ^= b
-            if extend(b.bit_length() - 1, visited | b):
-                return True
-        return False
-
-    starts = [start] if start is not None else list(range(n))
-    return any(extend(s, 1 << s) for s in starts)
+    return False
 
 
 def hampath_by_permutations(g: Graph, start: int | None = None) -> bool:

@@ -8,6 +8,11 @@ order and builds the report, so splitting the work never changes the
 result, only the wall time.  Sweeps are deterministic for fixed
 parameters.
 
+The reduction sweep's items are blocks of edge masks: each worker
+enumerates the connected graphs of its block and checks every berth of
+each on raw bitmasks, with no board objects, so even n = 7 sends only a
+few thousand small tuples to the pool.
+
 The uniform-value claims (no P positions when every pile is worth x > 0,
 no N positions at -x, a board plus its mirror ties) share one driver,
 :func:`_uniform_sweep`: the exhaustive boards come first, then the seeded
@@ -30,24 +35,24 @@ from .. import fixtures
 from ..algebra import negate_instance
 from ..engine import Player, initial_position
 from ..errors import ValidationError
-from ..model import Graph, Instance, serialize_graph, serialize_instance
+from ..model import Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     OutcomeClass,
     Search,
     classify,
     final_scores,
-    left_wins_moving_first,
 )
 from .contexts import distinguishing_context
 from .families import (
-    connected_labeled_graphs,
+    connected_adjacencies,
     enumerate_pt_negx,
     enumerate_ptx,
+    graph_from_bits,
     random_pt_instance,
     random_ptx_instance,
 )
-from .reduction import hampath_oracle, reduce_from_hampath
+from .reduction import gadget_bits, hampath_from
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,15 @@ class SweepReport:
 
 
 def _sweep(
-    name: str, check: Callable, items: Sequence, jobs: int, params: dict
+    name: str, check: Callable, items: Sequence, jobs: int, params: dict,
+    several: bool = False,
 ) -> SweepReport:
     """Apply ``check`` to every item, optionally across one process pool.
 
-    ``check`` returns a :class:`Violation` or None.  Results come back in
-    item order whatever the job count, so reports are identical for any
-    ``jobs``.
+    ``check`` returns a :class:`Violation` or None, or, when each item
+    carries ``several`` checks, the number it made and the list of its
+    violations.  Results come back in item order whatever the job count,
+    so reports are identical for any ``jobs``.
     """
     if jobs <= 1:
         results = [check(item) for item in items]
@@ -99,8 +106,13 @@ def _sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(items) // (jobs * 8))
             results = list(pool.map(check, items, chunksize=chunksize))
-    violations = [r for r in results if r is not None]
-    return SweepReport(name, len(items), violations, params)
+    if several:
+        checked = sum(count for count, _ in results)
+        violations = [v for _, found in results for v in found]
+    else:
+        checked = len(items)
+        violations = [r for r in results if r is not None]
+    return SweepReport(name, checked, violations, params)
 
 
 def _require_positive(x: int) -> None:
@@ -112,28 +124,49 @@ def _require_positive(x: int) -> None:
 # Reduction sweep: solver verdict vs path oracle
 
 
-def _reduction_item(item) -> Violation | None:
-    n, edges, left_start, budget = item
-    g = Graph(n, frozenset(edges))
-    solver_says = left_wins_moving_first(reduce_from_hampath(g, left_start).instance, budget)
-    oracle_says = hampath_oracle(g, start=left_start)
-    if solver_says == oracle_says:
-        return None
-    text = serialize_graph(g) + f"left_start {left_start}\n"
-    return Violation(text, f"left wins = {oracle_says}", f"left wins = {solver_says}")
+#: Edge masks per reduction item: n = 7 makes 2,048 items, n <= 6 makes 37.
+_REDUCTION_BLOCK = 1024
+
+
+def _reduction_block(item) -> tuple[int, list[Violation]]:
+    """Every berth of every connected n-vertex graph whose edge mask lies in
+    [first, stop): the gadget's Left-first verdict against the path oracle."""
+    n, first, stop, budget = item
+    checked = 0
+    violations = []
+    for adj in connected_adjacencies(n, range(first, stop)):
+        for left_start in range(n):
+            board, wt, root = gadget_bits(adj, left_start)
+            solver_says = Search.from_bits(board, wt, budget).value(*root, 0, 1) >= 1
+            oracle_says = hampath_from(adj, left_start)
+            checked += 1
+            if solver_says != oracle_says:
+                text = serialize_graph(graph_from_bits(adj)) + f"left_start {left_start}\n"
+                violations.append(
+                    Violation(text, f"left wins = {oracle_says}", f"left wins = {solver_says}")
+                )
+    return checked, violations
 
 
 def check_reduction_sweep(
     max_n: int = 6, jobs: int = 1, budget: int = DEFAULT_NODE_BUDGET
 ) -> SweepReport:
-    """Exhaustive: every connected labeled graph up to max_n, every berth."""
+    """Exhaustive: every connected labeled graph up to max_n, every berth.
+
+    ``max_n`` lies in 1..7, the sizes exhaustive enumeration supports.
+    The graphs come in ascending edge-mask order, in blocks of 1,024
+    masks, each enumerated and checked by its worker.
+    """
+    if not 1 <= max_n <= 7:
+        raise ValidationError(f"reduction sweep supports 1 <= max_n <= 7, got {max_n}")
     items = []
     for n in range(1, max_n + 1):
-        for g in connected_labeled_graphs(n):
-            edges = tuple(sorted(g.edges))
-            for left_start in range(n):
-                items.append((n, edges, left_start, budget))
-    return _sweep("reduction", _reduction_item, items, jobs, {"max_n": max_n})
+        masks = 1 << n * (n - 1) // 2
+        items += [
+            (n, first, min(first + _REDUCTION_BLOCK, masks), budget)
+            for first in range(0, masks, _REDUCTION_BLOCK)
+        ]
+    return _sweep("reduction", _reduction_block, items, jobs, {"max_n": max_n}, several=True)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,13 @@ def test_verify_rejects_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1", "8"])
+def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
+    code, out, err = run(capsys, "verify", "reduction", "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert err == f"error: reduction sweep supports 1 <= max_n <= 7, got {max_n}\n"
+
+
 def test_compare(capsys, fixtures_dir):
     code, out, _ = run(capsys, "compare", str(fixtures_dir / "fig_half.pt"))
     assert code == 0

@@ -53,6 +53,32 @@ def test_reduction_sweep_small():
     assert report.checked == 1 + 2 + 12 + 152
 
 
+@pytest.mark.parametrize("max_n", [0, -1, 8])
+def test_reduction_sweep_rejects_sizes_outside_one_to_seven(max_n):
+    with pytest.raises(ValidationError):
+        check_reduction_sweep(max_n=max_n)
+
+
+def test_reduction_sweep_reports_an_oracle_disagreement(monkeypatch):
+    # the path 0-1-2 from its middle vertex: no path through all three starts there
+    real = sweeps.hampath_from
+
+    def flipped(adj, start):
+        said = real(adj, start)
+        return not said if (list(adj), start) == ([0b010, 0b101, 0b010], 1) else said
+
+    monkeypatch.setattr(sweeps, "hampath_from", flipped)
+    report = check_reduction_sweep(max_n=4, jobs=1)
+    assert report.checked == 167
+    assert report.violations == [
+        Violation(
+            "vertices 3\ne 0 1\ne 1 2\nleft_start 1\n",
+            "left wins = True",
+            "left wins = False",
+        )
+    ]
+
+
 def test_forbidden_class_sweeps_small():
     report = check_no_p_positions(max_exhaustive_n=4, random_trials=50, seed=1)
     assert report.passed

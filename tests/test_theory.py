@@ -27,6 +27,7 @@ from pirates_treasure.theory import (
     reduce_from_hampath,
     uniform_instance,
 )
+from pirates_treasure.theory.reduction import gadget_bits
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -158,6 +159,19 @@ def test_path_oracles_agree_exhaustively():
             assert hampath_oracle(g) == hampath_by_permutations(g)
             for s in range(n):
                 assert hampath_oracle(g, s) == hampath_by_permutations(g, s)
+
+
+def test_bitmask_gadget_matches_the_reference_board():
+    for n in range(1, 7):
+        for g in connected_labeled_graphs(n):
+            for s in range(n):
+                inst = reduce_from_hampath(g, s).instance
+                adj, wt, (ships, others, plundered) = gadget_bits(g.adjacency_bits, s)
+                assert adj == list(inst.graph.adjacency_bits)
+                assert (ships, others) == (inst.left_starts, inst.right_starts)
+                assert plundered == sum(1 << v for v in inst.start_vertices)
+                unplundered = [v for v in range(len(adj)) if not plundered >> v & 1]
+                assert {v: wt[v] for v in unplundered} == inst.weights
 
 
 def test_path_oracle_on_disconnected_graph():
