@@ -124,25 +124,22 @@ class Search:
             bits = inst.graph.adjacency_bits
             adj += [b << offset for b in bits] if offset else bits
             values = [0] * inst.graph.vertex_count
-            for v, w in inst.weights.items():
-                values[v] = w
+            if not stuck:
+                for v, w in inst.weights.items():
+                    values[v] = w
             wt += values
         self._bind(adj, wt, budget, stuck, what)
 
     @classmethod
-    def from_bits(
-        cls, adj: list[int], wt: list[int], budget: int, stuck: int = 0, what: str = "solve"
-    ) -> Search:
+    def from_bits(cls, adj: list[int], wt: list[int], budget: int) -> Search:
         """A search over one board given as per-vertex neighbor bitmasks and
         pile values (0 on berths); roots are then packed states passed to
         :meth:`value`."""
         search = cls.__new__(cls)
-        search._bind(adj, wt, budget, stuck, what)
+        search._bind(adj, wt, budget, 0, "solve")
         return search
 
     def _bind(self, adj: list[int], wt: list[int], budget: int, stuck: int, what: str) -> None:
-        if stuck:
-            wt = [0] * len(wt)
         self.adj = adj
         self.wt = wt
         self.stuck = stuck
