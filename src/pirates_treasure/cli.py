@@ -255,12 +255,12 @@ def _cmd_negate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     graph = parse_graph(Path(args.file).read_text())
-    out = reduce_from_hampath(graph, args.at)
+    inst = reduce_from_hampath(graph, args.at)
     print(
-        f"note: berth {out.left_start}, grafted path of {out.path_length} vertices",
+        f"note: berth {args.at}, grafted path of {graph.vertex_count} vertices",
         file=sys.stderr,
     )
-    sys.stdout.write(serialize_instance(out.instance))
+    sys.stdout.write(serialize_instance(inst))
     return 0
 
 
@@ -290,6 +290,10 @@ def _cmd_verify(args) -> int:
         "jobs": args.jobs,
         "budget": args.max_nodes,
     }
+    if seeds is None and (args.seeds is not None or args.seed is not None):
+        raise ValidationError(
+            f"verify {args.claim} takes no --seeds or --seed: it draws no random boards"
+        )
     if seeds is not None:
         trials_key, trials = seeds
         kwargs[trials_key] = trials if args.seeds is None else args.seeds

@@ -71,11 +71,12 @@ def moves_for(pos: Position, player: Player) -> list[Move]:
 
     Deterministic order: by ship index, then target vertex.
     """
-    adjacency = pos.instance.graph.adjacency
+    adj = pos.instance.graph.adjacency_bits
     out = []
     for ship, at in enumerate(pos.ships_of(player)):
-        for to in sorted(adjacency[at]):
-            if to not in pos.visited:
+        bits = adj[at]
+        for to in range(bits.bit_length()):
+            if bits >> to & 1 and to not in pos.visited:
                 out.append(Move(player, ship, to))
     return out
 
@@ -94,7 +95,7 @@ def apply_move(pos: Position, move: Move) -> Position:
     at = ships[move.ship]
     if move.to in pos.visited:
         raise IllegalMoveError(f"vertex {move.to} is already plundered")
-    if move.to not in pos.instance.graph.adjacency[at]:
+    if move.to < 0 or not pos.instance.graph.adjacency_bits[at] >> move.to & 1:
         raise IllegalMoveError(f"no edge from {at} to {move.to}")
     new_ships = ships[: move.ship] + (move.to,) + ships[move.ship + 1 :]
     gain = pos.instance.weight_of(move.to)

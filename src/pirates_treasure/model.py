@@ -56,14 +56,6 @@ class Graph:
         return cls(vertex_count, normalized)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-        return tuple(frozenset(s) for s in sets)
-
-    @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
         """Per-vertex neighbor sets packed as bitmasks (bit i = vertex i)."""
         bits = [0] * self.vertex_count
@@ -71,9 +63,6 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -132,6 +121,15 @@ class Instance:
 
     def weight_of(self, v: int) -> int:
         return self.weights.get(v, 0)
+
+    @property
+    def pile_values(self) -> tuple[int, ...]:
+        """Pile value of each vertex, 0 on the berths."""
+        # not cached: a cached_property's locked first read cost the sweeps 3%
+        values = [0] * self.graph.vertex_count
+        for v, w in self.weights.items():
+            values[v] = w
+        return tuple(values)
 
     def total_positive_weight(self) -> int:
         return sum(w for w in self.weights.values() if w > 0)

@@ -123,11 +123,7 @@ class Search:
             offset = len(adj)
             bits = inst.graph.adjacency_bits
             adj += [b << offset for b in bits] if offset else bits
-            values = [0] * inst.graph.vertex_count
-            if not stuck:
-                for v, w in inst.weights.items():
-                    values[v] = w
-            wt += values
+            wt += [0] * inst.graph.vertex_count if stuck else inst.pile_values
         self._bind(adj, wt, budget, stuck, what)
 
     @classmethod
@@ -152,10 +148,6 @@ class Search:
     def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
         """Terminal score under best play from the positions side by side."""
         return self._banked(positions) + self._root(positions, to_move, -self.inf, self.inf)
-
-    def left_wins(self, positions: Sequence[Position], to_move: Player) -> bool:
-        """Does Left force a positive final score?"""
-        return self.at_least(positions, to_move, 1)
 
     def at_least(self, positions: Sequence[Position], to_move: Player, target: int) -> bool:
         """Does Left force a final score of at least ``target``?
@@ -358,7 +350,7 @@ def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Mov
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Decision form of the solver: does Left force a positive final score?"""
     root = initial_position(inst, Player.LEFT)
-    return Search([inst], budget).left_wins((root,), Player.LEFT)
+    return Search([inst], budget).at_least((root,), Player.LEFT, 1)
 
 
 def greedy_score(
@@ -374,11 +366,8 @@ def greedy_score(
     optimally against that fixed policy.  Values are taken from the
     mover's side, as in :class:`Search`.
     """
-    adj = list(inst.graph.adjacency_bits)
-    n = inst.graph.vertex_count
-    wt = [0] * n
-    for v, w in inst.weights.items():
-        wt[v] = w
+    adj = inst.graph.adjacency_bits
+    wt = inst.pile_values
     budget_box = [0]
     memo: dict = {}
 
@@ -419,11 +408,8 @@ def greedy_score(
 
 def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Reference result: plain exhaustive minimax, no table, no pruning."""
-    adj = list(pos.instance.graph.adjacency_bits)
-    n = pos.instance.graph.vertex_count
-    wt = [0] * n
-    for v, w in pos.instance.weights.items():
-        wt[v] = w
+    adj = pos.instance.graph.adjacency_bits
+    wt = pos.instance.pile_values
     counter = [0]
 
     def rec(lships, rships, visited, left_to_move):

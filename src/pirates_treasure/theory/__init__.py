@@ -18,7 +18,6 @@ from .families import (
     uniform_instance,
 )
 from .reduction import (
-    ReductionOutput,
     check_grid_reduction,
     check_reduction,
     euler_planar_bound,
@@ -43,7 +42,6 @@ from .sweeps import (
 __all__ = [
     "ConventionReport",
     "OUTCOME_TABLE",
-    "ReductionOutput",
     "SweepReport",
     "Violation",
     "check_distinguishing",

@@ -43,7 +43,7 @@ def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
 
 def _winner(sp: SumPosition, misere: bool, budget: int) -> Player:
     search = _search(sp, misere, budget)
-    return Player.LEFT if search.left_wins(sp.components, sp.to_move) else Player.RIGHT
+    return Player.LEFT if search.at_least(sp.components, sp.to_move, 1) else Player.RIGHT
 
 
 def normal_outcome(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> Player:

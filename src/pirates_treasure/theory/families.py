@@ -96,10 +96,9 @@ def _enumerate_uniform(n: int, value: int) -> Iterator[Instance]:
                 yield uniform_instance(graph, left, right, value)
 
 
-def random_connected_graph(
-    n: int, rng: random.Random, extra_edge_probability: float = 0.25
-) -> Graph:
-    """Random attachment tree plus independent extra edges: always connected."""
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
+    """Random attachment tree plus extra edges, each of the other pairs
+    independently with probability 1/4: always connected."""
     if n < 1:
         raise ValidationError("need at least one vertex")
     edges = set()
@@ -107,7 +106,7 @@ def random_connected_graph(
         edges.add((rng.randrange(v), v))
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra_edge_probability:
+            if (u, v) not in edges and rng.random() < 0.25:
                 edges.add((u, v))
     return Graph.from_edges(n, edges)
 
@@ -121,36 +120,26 @@ def random_ptx_instance(n: int, x: int, rng: random.Random) -> Instance:
     return uniform_instance(graph, left, right, x)
 
 
-def random_pt_instance(
-    n: int,
-    rng: random.Random,
-    weight_range: tuple[int, int] = (1, 4),
-    require_left_move: bool = False,
-) -> Instance:
-    """Random connected board with positive integer piles, one ship per side.
+def random_pt_instance(n: int, rng: random.Random) -> Instance:
+    """Random connected board with piles worth 1 to 4, one ship per side.
 
-    With ``require_left_move`` the draw is repeated until the Left ship has
-    at least one unplundered neighbor, i.e. Left can actually move first.
+    The draw is repeated until the Left ship has at least one unplundered
+    neighbor, i.e. Left can actually move first.
     """
     if n < 2:
         raise ValidationError("need room for two ships")
-    if require_left_move and n < 3:
+    if n < 3:
         # on two vertices Left's one neighbor is always Right's berth
         raise ValidationError("no 2-vertex board leaves Left a first move")
-    lo, hi = weight_range
-    if lo < 1:
-        raise ValidationError("piles must be positive here; see random_instance")
     while True:
         graph = random_connected_graph(n, rng)
         left, right = rng.sample(range(n), 2)
         weights = {
-            v: rng.randint(lo, hi)
+            v: rng.randint(1, 4)
             for v in range(n)
             if v != left and v != right
         }
         inst = Instance(graph, weights, (left,), (right,))
         validate(inst)
-        if not require_left_move:
-            return inst
-        if any(v != right for v in graph.adjacency[left]):
+        if graph.adjacency_bits[left] & ~(1 << right):
             return inst

@@ -11,7 +11,6 @@ the game ends level the moment Left runs out of fresh vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
@@ -20,18 +19,7 @@ from ..model import Graph, GridSpec, Instance, grid_graph
 from ..solver import DEFAULT_NODE_BUDGET, left_wins_moving_first
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
-    """The built board plus the parameters that shaped it."""
-
-    instance: Instance
-    left_start: int
-    path_length: int  # vertices on the grafted path, counting left_start
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def reduce_from_hampath(g: Graph, left_start: int) -> ReductionOutput:
+def reduce_from_hampath(g: Graph, left_start: int) -> Instance:
     """Build the board whose first-player question encodes a path question."""
     n = g.vertex_count
     if not 0 <= left_start < n:
@@ -44,13 +32,12 @@ def reduce_from_hampath(g: Graph, left_start: int) -> ReductionOutput:
     weights = {v: 1 for v in range(n) if v != left_start}
     weights.update({v: 1 for v in range(n + 1, 2 * n - 1)})
     right = (n,) if n >= 2 else ()
-    inst = Instance(
+    return Instance(
         Graph.from_edges(2 * n - 1, edges),
         weights,
         left_starts=(left_start,),
         right_starts=right,
     )
-    return ReductionOutput(instance=inst, left_start=left_start, path_length=n)
 
 
 def gadget_bits(adj: Sequence[int], left_start: int) -> tuple[list[int], list[int], tuple]:
@@ -72,17 +59,17 @@ def gadget_bits(adj: Sequence[int], left_start: int) -> tuple[list[int], list[in
     return board, wt, ((left_start,), (n,), 1 << left_start | 1 << n)
 
 
-def hampath_oracle(g: Graph, start: int | None = None, max_vertices: int = 12) -> bool:
+def hampath_oracle(g: Graph, start: int | None = None) -> bool:
     """Is there a path through every vertex (starting at ``start`` if given)?
 
     A path here must traverse at least one edge, so a one-vertex graph has
     none; that convention is what makes the reduction exact for all sizes.
     Backtracking search (:func:`hampath_from`), practical to roughly 12
-    vertices.
+    vertices; larger graphs raise :class:`BudgetExceededError`.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise BudgetExceededError(max_vertices, "path search")
+    if n > 12:
+        raise BudgetExceededError(12, "path search")
     if start is not None and not 0 <= start < n:
         raise ValidationError(f"start {start} out of range")
     if n < 2 or not g.is_connected():
@@ -121,11 +108,11 @@ def hampath_by_permutations(g: Graph, start: int | None = None) -> bool:
         raise BudgetExceededError(8, "permutation scan")
     if n < 2:
         return False
-    adjacency = g.adjacency
+    adj = g.adjacency_bits
     rest = [v for v in range(n) if start is None or v != start]
     for perm in permutations(rest):
         order = perm if start is None else (start,) + perm
-        if all(order[i + 1] in adjacency[order[i]] for i in range(n - 1)):
+        if all(adj[order[i]] >> order[i + 1] & 1 for i in range(n - 1)):
             return True
     return False
 
@@ -134,8 +121,7 @@ def check_reduction(
     g: Graph, left_start: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """Does the solver's first-player verdict match the path oracle?"""
-    out = reduce_from_hampath(g, left_start)
-    solver_says = left_wins_moving_first(out.instance, budget)
+    solver_says = left_wins_moving_first(reduce_from_hampath(g, left_start), budget)
     oracle_says = hampath_oracle(g, start=left_start)
     return solver_says == oracle_says
 
@@ -159,7 +145,6 @@ def check_grid_reduction(
     """
     grid = grid_graph(cols, rows)
     left_start = GridSpec(cols, rows).vertex_id(*left_cell)
-    out = reduce_from_hampath(grid, left_start)
-    if not euler_planar_bound(out.instance.graph):
+    if not euler_planar_bound(reduce_from_hampath(grid, left_start).graph):
         return False
     return check_reduction(grid, left_start, budget)

@@ -120,6 +120,11 @@ def _require_positive(x: int) -> None:
         raise ValidationError(f"uniform pile value x must be positive, got {x}")
 
 
+def _require_at_least(key: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValidationError(f"{key} must be at least {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Reduction sweep: solver verdict vs path oracle
 
@@ -173,6 +178,10 @@ def check_reduction_sweep(
 # Uniform-value families: one driver, one check per board
 
 
+#: Largest exhaustive board size of a uniform sweep.
+_MAX_EXHAUSTIVE_N = 6
+
+
 def _uniform_item(item) -> Violation | None:
     """Check one uniform board, drawing it first when the item is a seed."""
     board_check, budget, board = item
@@ -188,8 +197,24 @@ def _uniform_sweep(
     seed, jobs, budget,
 ) -> SweepReport:
     """Every board of the family worth ``sign * x`` up to ``max_exhaustive_n``
-    vertices, then ``random_trials`` seeded draws, through one runner."""
+    vertices, then ``random_trials`` seeded draws, through one runner.
+
+    The exhaustive boards are built in one list before any is checked, so
+    ``max_exhaustive_n`` stops at 6 (816,162 boards); 7 would add 78 million.
+    """
     _require_positive(x)
+    _require_at_least("random_trials", random_trials, 0)
+    _require_at_least("random_max_n", random_max_n, 2)
+    if max_exhaustive_n > _MAX_EXHAUSTIVE_N:
+        raise ValidationError(
+            f"{name} sweep supports max_exhaustive_n <= {_MAX_EXHAUSTIVE_N}, "
+            f"got {max_exhaustive_n}"
+        )
+    if max_exhaustive_n < 2 and not random_trials:
+        raise ValidationError(
+            f"{name} sweep has nothing to check: no exhaustive size of 2 or more "
+            f"(max_exhaustive_n={max_exhaustive_n}) and no random trials"
+        )
     enumerate_family = enumerate_ptx if sign > 0 else enumerate_pt_negx
     boards: list = [
         inst for n in range(2, max_exhaustive_n + 1) for inst in enumerate_family(n, x)
@@ -326,6 +351,8 @@ def check_outcome_table(
 ) -> SweepReport:
     """Random uniform-board pairs: the sum's class stays inside its cell."""
     _require_positive(x)
+    _require_at_least("trials", trials, 1)
+    _require_at_least("max_component_n", max_component_n, 2)
     items = [(seed + i, max_component_n, x, budget) for i in range(trials)]
     params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
     return _sweep("table", _table_item, items, jobs, params)
@@ -379,7 +406,7 @@ def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
 def _distinguishing_item(item) -> Violation | None:
     seed, max_n, budget = item
     rng = random.Random(seed)
-    inst = random_pt_instance(rng.randint(3, max_n), rng, require_left_move=True)
+    inst = random_pt_instance(rng.randint(3, max_n), rng)
     context = distinguishing_context(inst)
     alone = _left_first_score([context], budget)
     summed = _left_first_score([inst, context], budget)
@@ -403,6 +430,8 @@ def check_distinguishing(
 ) -> SweepReport:
     """The overweight-edge context always separates a board with a mobile
     Left ship from the empty game, Left moving first."""
+    _require_at_least("trials", trials, 1)
+    _require_at_least("max_n", max_n, 3)
     items = [(seed + i, max_n, budget) for i in range(trials)]
     params = {"trials": trials, "max_n": max_n, "seed": seed}
     return _sweep("distinguishing", _distinguishing_item, items, jobs, params)

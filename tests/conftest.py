@@ -12,3 +12,16 @@ FIXTURES_DIR = REPO_ROOT / "fixtures"
 def fixtures_dir() -> Path:
     assert FIXTURES_DIR.is_dir(), "fixtures/ missing; run fixtures.write_all"
     return FIXTURES_DIR
+
+
+@pytest.fixture
+def sweeps_must_not_start(monkeypatch):
+    """Make any board enumeration or sweep runner call fail at once, so a
+    missing input check fails fast instead of building millions of boards."""
+    from pirates_treasure.theory import sweeps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    for name in ("enumerate_ptx", "enumerate_pt_negx", "_sweep"):
+        monkeypatch.setattr(sweeps, name, refuse)

@@ -146,6 +146,37 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
     assert err == f"error: reduction sweep supports 1 <= max_n <= 7, got {max_n}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--max-n", "1"], "max_component_n must be at least 2, got 1"),
+        (["table", "--seeds", "-3"], "trials must be at least 1, got -3"),
+        (["table", "--seeds", "0"], "trials must be at least 1, got 0"),
+        (["pt-x", "--max-n", "1", "--seeds", "-5"], "random_trials must be at least 0, got -5"),
+        (
+            ["self-sum", "--max-n", "1", "--seeds", "0"],
+            "self-sum sweep has nothing to check: no exhaustive size of 2 or more "
+            "(max_exhaustive_n=1) and no random trials",
+        ),
+        (["pt-x", "--max-n", "7"], "pt-x sweep supports max_exhaustive_n <= 6, got 7"),
+        (["pt-negx", "--max-n", "8"], "pt-negx sweep supports max_exhaustive_n <= 6, got 8"),
+        (
+            ["reduction", "--seeds", "5"],
+            "verify reduction takes no --seeds or --seed: it draws no random boards",
+        ),
+        (
+            ["reduction", "--seed", "3"],
+            "verify reduction takes no --seeds or --seed: it draws no random boards",
+        ),
+    ],
+)
+def test_verify_rejects_sweeps_that_would_crash_or_check_nothing(
+    capsys, sweeps_must_not_start, argv, message
+):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_compare(capsys, fixtures_dir):
     code, out, _ = run(capsys, "compare", str(fixtures_dir / "fig_half.pt"))
     assert code == 0

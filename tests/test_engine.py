@@ -68,6 +68,9 @@ def test_illegal_moves_rejected():
         apply_move(pos, Move(Player.LEFT, 0, 5))  # already plundered
     with pytest.raises(IllegalMoveError):
         apply_move(pos, Move(Player.LEFT, 0, 3))  # no edge 0-3
+    for off_board in (-1, 99):
+        with pytest.raises(IllegalMoveError, match=f"no edge from 0 to {off_board}"):
+            apply_move(pos, Move(Player.LEFT, 0, off_board))
 
 
 def test_stuck_mover_ends_game_even_if_opponent_could_move():

@@ -189,7 +189,7 @@ def test_left_wins_matches_sign_of_final_score():
             for first in (L, R):
                 roots = [initial_position(inst, first)]
                 exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
-                wins = Search([inst], 10**6, stuck=stuck).left_wins(roots, first)
+                wins = Search([inst], 10**6, stuck=stuck).at_least(roots, first, 1)
                 assert wins == (exact > 0), f"seed {seed}, stuck {stuck}, {first} first"
 
 

@@ -141,6 +141,47 @@ def test_uniform_sweeps_reject_a_non_positive_pile_value(sweep, x):
             sweep(max_exhaustive_n=max_exhaustive_n, x=x, random_trials=5, seed=1)
 
 
+@pytest.mark.parametrize(
+    "sweep, kwargs, message",
+    [
+        (check_no_p_positions, dict(random_trials=-1), "random_trials must be at least 0, got -1"),
+        (check_self_sum_tie, dict(random_max_n=1), "random_max_n must be at least 2, got 1"),
+        (
+            check_no_n_positions,
+            dict(max_exhaustive_n=1, random_trials=0),
+            "pt-negx sweep has nothing to check: no exhaustive size of 2 or more "
+            "(max_exhaustive_n=1) and no random trials",
+        ),
+        (
+            check_no_p_positions,
+            dict(max_exhaustive_n=7),
+            "pt-x sweep supports max_exhaustive_n <= 6, got 7",
+        ),
+        (
+            check_no_n_positions,
+            dict(max_exhaustive_n=8),
+            "pt-negx sweep supports max_exhaustive_n <= 6, got 8",
+        ),
+        (
+            check_self_sum_tie,
+            dict(max_exhaustive_n=7),
+            "self-sum sweep supports max_exhaustive_n <= 6, got 7",
+        ),
+        (check_outcome_table, dict(trials=-3), "trials must be at least 1, got -3"),
+        (check_outcome_table, dict(trials=0), "trials must be at least 1, got 0"),
+        (check_outcome_table, dict(max_component_n=1), "max_component_n must be at least 2, got 1"),
+        (check_distinguishing, dict(trials=0), "trials must be at least 1, got 0"),
+        (check_distinguishing, dict(max_n=2), "max_n must be at least 3, got 2"),
+    ],
+)
+def test_sweeps_reject_inputs_that_crash_or_check_nothing(
+    sweeps_must_not_start, sweep, kwargs, message
+):
+    with pytest.raises(ValidationError) as exc:
+        sweep(**kwargs)
+    assert str(exc.value) == message
+
+
 def _boards_visited(max_exhaustive_n, random_trials, random_max_n, seed):
     exhaustive = [
         serialize_instance(inst)

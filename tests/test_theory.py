@@ -101,13 +101,13 @@ def test_random_ptx_instance_is_uniform():
 def test_random_pt_instance_left_move_guarantee():
     rng = random.Random(11)
     for _ in range(30):
-        inst = random_pt_instance(rng.randint(3, 8), rng, require_left_move=True)
+        inst = random_pt_instance(rng.randint(3, 8), rng)
         assert legal_moves(initial_position(inst, L))
 
 
 def test_random_pt_instance_rejects_impossible_request():
     with pytest.raises(ValidationError):
-        random_pt_instance(2, random.Random(0), require_left_move=True)
+        random_pt_instance(2, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +116,8 @@ def test_random_pt_instance_rejects_impossible_request():
 
 def test_reduction_shape_for_triangle():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    out = reduce_from_hampath(g, left_start=0)
-    inst = out.instance
+    inst = reduce_from_hampath(g, left_start=0)
     assert inst.graph.vertex_count == 5  # 2n - 1
-    assert out.path_length == 3
     assert inst.left_starts == (0,)
     assert inst.right_starts == (3,)  # first fresh vertex, next to Left's berth
     assert inst.weights == {1: 1, 2: 1, 4: 1}
@@ -127,29 +125,29 @@ def test_reduction_shape_for_triangle():
 
 
 def test_reduction_single_vertex_graph():
-    out = reduce_from_hampath(Graph(1, frozenset()), 0)
-    assert out.instance.graph.vertex_count == 1
-    assert out.instance.right_starts == ()
-    assert out.instance.weights == {}
+    inst = reduce_from_hampath(Graph(1, frozenset()), 0)
+    assert inst.graph.vertex_count == 1
+    assert inst.right_starts == ()
+    assert inst.weights == {}
     # no path through one vertex, and Left cannot win a move-less game
     assert not hampath_oracle(Graph(1, frozenset()), 0)
-    assert not left_wins_moving_first(out.instance)
+    assert not left_wins_moving_first(inst)
 
 
 def test_reduction_two_vertex_graph():
     g = Graph.from_edges(2, [(0, 1)])
-    out = reduce_from_hampath(g, 0)
-    assert out.instance.graph.vertex_count == 3
-    assert out.instance.right_starts == (2,)
-    assert out.instance.weights == {1: 1}
-    assert left_wins_moving_first(out.instance)
+    inst = reduce_from_hampath(g, 0)
+    assert inst.graph.vertex_count == 3
+    assert inst.right_starts == (2,)
+    assert inst.weights == {1: 1}
+    assert left_wins_moving_first(inst)
 
 
 def test_reduction_verdict_tracks_path_existence():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     for start, has_path in [(0, True), (1, False), (2, False), (3, True)]:
         assert hampath_oracle(p4, start) is has_path
-        assert left_wins_moving_first(reduce_from_hampath(p4, start).instance) is has_path
+        assert left_wins_moving_first(reduce_from_hampath(p4, start)) is has_path
         assert check_reduction(p4, start)
 
 
@@ -165,7 +163,7 @@ def test_bitmask_gadget_matches_the_reference_board():
     for n in range(1, 7):
         for g in connected_labeled_graphs(n):
             for s in range(n):
-                inst = reduce_from_hampath(g, s).instance
+                inst = reduce_from_hampath(g, s)
                 adj, wt, (ships, others, plundered) = gadget_bits(g.adjacency_bits, s)
                 assert adj == list(inst.graph.adjacency_bits)
                 assert (ships, others) == (inst.left_starts, inst.right_starts)
@@ -182,7 +180,7 @@ def test_path_oracle_on_disconnected_graph():
 
 def test_path_oracle_budget():
     with pytest.raises(BudgetExceededError):
-        hampath_oracle(Graph(13, frozenset()), max_vertices=12)
+        hampath_oracle(Graph(13, frozenset()))
     with pytest.raises(BudgetExceededError):
         hampath_by_permutations(Graph(9, frozenset()))
 
