@@ -14,6 +14,9 @@ from typing import Iterator, Sequence
 from ..errors import ValidationError
 from ..model import Graph, Instance, adjacency_connected, validate
 
+#: Largest vertex count that exhaustive enumeration supports.
+MAX_ENUMERATION_N = 7
+
 
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """All connected simple graphs on vertices 0..n-1, labels distinct.
@@ -86,38 +89,64 @@ def enumerate_pt_negx(n: int, x: int) -> Iterator[Instance]:
 
 
 def _enumerate_uniform(n: int, value: int) -> Iterator[Instance]:
-    if not 2 <= n <= 7:
-        raise ValidationError("exhaustive enumeration supports 2 <= n <= 7")
-    for graph in connected_labeled_graphs(n):
+    if not 2 <= n <= MAX_ENUMERATION_N:
+        raise ValidationError(
+            f"exhaustive enumeration supports 2 <= n <= {MAX_ENUMERATION_N}"
+        )
+    for adj, left, right in uniform_boards_bits(n, range(1 << n * (n - 1) // 2)):
+        yield uniform_instance(graph_from_bits(adj), left, right, value)
+
+
+def uniform_boards_bits(n: int, masks: range) -> Iterator[tuple[list[int], int, int]]:
+    """(adjacency, Left berth, Right berth) of each connected n-vertex graph
+    whose edge mask lies in ``masks``, times every ordered pair of distinct
+    berths: the boards of :func:`enumerate_ptx`, in its order."""
+    for adj in connected_adjacencies(n, masks):
         for left in range(n):
             for right in range(n):
-                if left == right:
-                    continue
-                yield uniform_instance(graph, left, right, value)
+                if left != right:
+                    yield adj, left, right
+
+
+def random_connected_adjacency(n: int, rng: random.Random) -> list[int]:
+    """Per-vertex neighbor bitmasks of a random attachment tree plus extra
+    edges, each of the other pairs independently with probability 1/4:
+    always connected."""
+    if n < 1:
+        raise ValidationError("need at least one vertex")
+    adj = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for u in range(n):
+        for v in range(u + 1, n):
+            # a tree edge draws no number: seeded boards depend on this order
+            if not adj[u] >> v & 1 and rng.random() < 0.25:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
 
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
-    """Random attachment tree plus extra edges, each of the other pairs
-    independently with probability 1/4: always connected."""
-    if n < 1:
-        raise ValidationError("need at least one vertex")
-    edges = set()
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < 0.25:
-                edges.add((u, v))
-    return Graph.from_edges(n, edges)
+    """The graph of :func:`random_connected_adjacency`."""
+    return graph_from_bits(random_connected_adjacency(n, rng))
+
+
+def random_uniform_bits(n: int, rng: random.Random) -> tuple[list[int], int, int]:
+    """(adjacency, Left berth, Right berth) of a random connected board: the
+    graph is drawn first, then the two distinct berths."""
+    if n < 2:
+        raise ValidationError("need room for two ships")
+    adj = random_connected_adjacency(n, rng)
+    left, right = rng.sample(range(n), 2)
+    return adj, left, right
 
 
 def random_ptx_instance(n: int, x: int, rng: random.Random) -> Instance:
     """Random connected uniform-value board, one ship per side."""
-    if n < 2:
-        raise ValidationError("need room for two ships")
-    graph = random_connected_graph(n, rng)
-    left, right = rng.sample(range(n), 2)
-    return uniform_instance(graph, left, right, x)
+    adj, left, right = random_uniform_bits(n, rng)
+    return uniform_instance(graph_from_bits(adj), left, right, x)
 
 
 def random_pt_instance(n: int, rng: random.Random) -> Instance:
@@ -132,8 +161,8 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
         # on two vertices Left's one neighbor is always Right's berth
         raise ValidationError("no 2-vertex board leaves Left a first move")
     while True:
-        graph = random_connected_graph(n, rng)
-        left, right = rng.sample(range(n), 2)
+        adj, left, right = random_uniform_bits(n, rng)
+        graph = graph_from_bits(adj)
         weights = {
             v: rng.randint(1, 4)
             for v in range(n)
@@ -141,5 +170,5 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
         }
         inst = Instance(graph, weights, (left,), (right,))
         validate(inst)
-        if graph.adjacency_bits[left] & ~(1 << right):
+        if adj[left] & ~(1 << right):
             return inst

@@ -15,10 +15,14 @@ few thousand small tuples to the pool.
 
 The uniform-value claims (no P positions when every pile is worth x > 0,
 no N positions at -x, a board plus its mirror ties) share one driver,
-:func:`_uniform_sweep`: the exhaustive boards come first, then the seeded
-draws, each drawn inside the worker from ``Random(seed + i)``, and one
-per-board check decides each of them.  Checks that need only a class or
-a score ask :func:`~pirates_treasure.solver.final_scores` for the two
+:func:`_uniform_sweep`, built the same way: the exhaustive boards come
+first, in blocks of edge masks, then the seeded draws, in blocks of
+seeds, each board enumerated or drawn as bitmasks inside the worker.  A
+check asks only its own question: it packs the two roots and runs
+zero-window searches that stop at the first root that rules the class
+out, and it builds an :class:`~pirates_treasure.model.Instance` and asks
+:func:`~pirates_treasure.solver.final_scores` for the class only to
+report a violation.  The table check asks ``final_scores`` for the two
 scores of the boards side by side, never for a full report; the
 distinguishing check reads only Left-first scores and searches only those.
 """
@@ -29,7 +33,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .. import fixtures
 from ..algebra import negate_instance
@@ -45,12 +49,14 @@ from ..solver import (
 )
 from .contexts import distinguishing_context
 from .families import (
+    MAX_ENUMERATION_N,
     connected_adjacencies,
-    enumerate_pt_negx,
-    enumerate_ptx,
     graph_from_bits,
     random_pt_instance,
     random_ptx_instance,
+    random_uniform_bits,
+    uniform_boards_bits,
+    uniform_instance,
 )
 from .reduction import gadget_bits, hampath_from
 
@@ -98,9 +104,10 @@ def _sweep(
     ``check`` returns a :class:`Violation` or None, or, when each item
     carries ``several`` checks, the number it made and the list of its
     violations.  Results come back in item order whatever the job count,
-    so reports are identical for any ``jobs``.
+    so reports are identical for any ``jobs``, which must be at least 1.
     """
-    if jobs <= 1:
+    _require_at_least("jobs", jobs, 1)
+    if jobs == 1:
         results = [check(item) for item in items]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -125,6 +132,17 @@ def _require_at_least(key: str, value: int, least: int) -> None:
         raise ValidationError(f"{key} must be at least {least}, got {value}")
 
 
+def _blocks(start: int, stop: int, size: int) -> Iterator[range]:
+    """[start, stop) in consecutive ranges of ``size``, the last one shorter."""
+    for first in range(start, stop, size):
+        yield range(first, min(first + size, stop))
+
+
+def _mask_count(n: int) -> int:
+    """Edge masks of n-vertex graphs: one bit per vertex pair."""
+    return 1 << n * (n - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # Reduction sweep: solver verdict vs path oracle
 
@@ -135,11 +153,11 @@ _REDUCTION_BLOCK = 1024
 
 def _reduction_block(item) -> tuple[int, list[Violation]]:
     """Every berth of every connected n-vertex graph whose edge mask lies in
-    [first, stop): the gadget's Left-first verdict against the path oracle."""
-    n, first, stop, budget = item
+    ``masks``: the gadget's Left-first verdict against the path oracle."""
+    n, masks, budget = item
     checked = 0
     violations = []
-    for adj in connected_adjacencies(n, range(first, stop)):
+    for adj in connected_adjacencies(n, masks):
         for left_start in range(n):
             board, wt, root = gadget_bits(adj, left_start)
             solver_says = Search.from_bits(board, wt, budget).value(*root, 0, 1) >= 1
@@ -162,15 +180,15 @@ def check_reduction_sweep(
     The graphs come in ascending edge-mask order, in blocks of 1,024
     masks, each enumerated and checked by its worker.
     """
-    if not 1 <= max_n <= 7:
-        raise ValidationError(f"reduction sweep supports 1 <= max_n <= 7, got {max_n}")
-    items = []
-    for n in range(1, max_n + 1):
-        masks = 1 << n * (n - 1) // 2
-        items += [
-            (n, first, min(first + _REDUCTION_BLOCK, masks), budget)
-            for first in range(0, masks, _REDUCTION_BLOCK)
-        ]
+    if not 1 <= max_n <= MAX_ENUMERATION_N:
+        raise ValidationError(
+            f"reduction sweep supports 1 <= max_n <= {MAX_ENUMERATION_N}, got {max_n}"
+        )
+    items = [
+        (n, masks, budget)
+        for n in range(1, max_n + 1)
+        for masks in _blocks(0, _mask_count(n), _REDUCTION_BLOCK)
+    ]
     return _sweep("reduction", _reduction_block, items, jobs, {"max_n": max_n}, several=True)
 
 
@@ -178,18 +196,30 @@ def check_reduction_sweep(
 # Uniform-value families: one driver, one check per board
 
 
-#: Largest exhaustive board size of a uniform sweep.
-_MAX_EXHAUSTIVE_N = 6
+#: Edge masks or seeds per uniform item: small enough that the default
+#: exhaustive sizes (n <= 5, 1,024 masks at 5) still spread over two workers.
+_UNIFORM_BLOCK = 256
 
 
-def _uniform_item(item) -> Violation | None:
-    """Check one uniform board, drawing it first when the item is a seed."""
-    board_check, budget, board = item
-    if not isinstance(board, Instance):
-        seed, max_n, value = board
+def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
+    """One board per seed, drawn from ``Random(seed)`` as
+    ``random_ptx_instance(rng.randint(2, max_n), x, rng)`` draws it."""
+    for seed in seeds:
         rng = random.Random(seed)
-        board = random_ptx_instance(rng.randint(2, max_n), value, rng)
-    return board_check(board, budget)
+        yield random_uniform_bits(rng.randint(2, max_n), rng)
+
+
+def _uniform_block(item) -> tuple[int, list[Violation]]:
+    """Check every uniform board of one block, enumerated or drawn here."""
+    board_check, value, budget, boards, args = item
+    checked = 0
+    violations = []
+    for adj, left, right in boards(*args):
+        checked += 1
+        found = board_check(adj, left, right, value, budget)
+        if found is not None:
+            violations.append(found)
+    return checked, violations
 
 
 def _uniform_sweep(
@@ -199,15 +229,15 @@ def _uniform_sweep(
     """Every board of the family worth ``sign * x`` up to ``max_exhaustive_n``
     vertices, then ``random_trials`` seeded draws, through one runner.
 
-    The exhaustive boards are built in one list before any is checked, so
-    ``max_exhaustive_n`` stops at 6 (816,162 boards); 7 would add 78 million.
+    An item is a block of edge masks of one size or of consecutive seeds;
+    its worker enumerates or draws the boards, so no board crosses the pool.
     """
     _require_positive(x)
     _require_at_least("random_trials", random_trials, 0)
     _require_at_least("random_max_n", random_max_n, 2)
-    if max_exhaustive_n > _MAX_EXHAUSTIVE_N:
+    if max_exhaustive_n > MAX_ENUMERATION_N:
         raise ValidationError(
-            f"{name} sweep supports max_exhaustive_n <= {_MAX_EXHAUSTIVE_N}, "
+            f"{name} sweep supports max_exhaustive_n <= {MAX_ENUMERATION_N}, "
             f"got {max_exhaustive_n}"
         )
     if max_exhaustive_n < 2 and not random_trials:
@@ -215,31 +245,77 @@ def _uniform_sweep(
             f"{name} sweep has nothing to check: no exhaustive size of 2 or more "
             f"(max_exhaustive_n={max_exhaustive_n}) and no random trials"
         )
-    enumerate_family = enumerate_ptx if sign > 0 else enumerate_pt_negx
-    boards: list = [
-        inst for n in range(2, max_exhaustive_n + 1) for inst in enumerate_family(n, x)
+    blocks = [
+        (uniform_boards_bits, (n, masks))
+        for n in range(2, max_exhaustive_n + 1)
+        for masks in _blocks(0, _mask_count(n), _UNIFORM_BLOCK)
     ]
-    exhaustive = len(boards)
-    boards += [(seed + i, random_max_n, sign * x) for i in range(random_trials)]
-    items = [(board_check, budget, board) for board in boards]
+    blocks += [
+        (_drawn, (seeds, random_max_n))
+        for seeds in _blocks(seed, seed + random_trials, _UNIFORM_BLOCK)
+    ]
+    items = [(board_check, sign * x, budget, boards, args) for boards, args in blocks]
     params = dict(
-        max_exhaustive_n=max_exhaustive_n, x=x, exhaustive=exhaustive,
-        random_trials=random_trials, random_max_n=random_max_n, seed=seed,
+        max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
+        random_max_n=random_max_n, seed=seed,
     )
-    return _sweep(name, _uniform_item, items, jobs, params)
+    report = _sweep(name, _uniform_block, items, jobs, params, several=True)
+    # each seed is one board, so the rest of the count is the exhaustive part
+    params["exhaustive"] = report.checked - random_trials
+    return report
 
 
-def _class_is_not(forbidden: OutcomeClass, inst: Instance, budget: int) -> Violation | None:
-    got = classify(final_scores(inst, budget=budget))
-    if got is forbidden:
-        return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
-    return None
+def _piles(n: int, left: int, right: int, value: int) -> list[int]:
+    """Pile values of a uniform board: ``value`` on every vertex but the berths."""
+    wt = [value] * n
+    wt[left] = wt[right] = 0
+    return wt
 
 
-def _ties_with_mirror(inst: Instance, budget: int) -> Violation | None:
-    got = classify(final_scores(inst, negate_instance(inst), budget=budget))
-    if got is OutcomeClass.TIE:
+# Class predicates on the two packed roots (Left first, Right first), each
+# valued in its mover's frame with nothing banked; the second root is
+# searched only when the first passes.
+
+
+def _is_p(search: Search, roots) -> bool:
+    """Both first movers end below 0."""
+    return all(search.value(*root, -1, 0) < 0 for root in roots)
+
+
+def _is_n(search: Search, roots) -> bool:
+    """Both first movers end above 0."""
+    return all(search.value(*root, 0, 1) > 0 for root in roots)
+
+
+def _is_tie(search: Search, roots) -> bool:
+    """Both first movers end at exactly 0."""
+    return all(search.value(*root, -1, 1) == 0 for root in roots)
+
+
+def _class_is_not(
+    forbidden: OutcomeClass, has_class: Callable, adj, left, right, value, budget
+) -> Violation | None:
+    berths = 1 << left | 1 << right
+    search = Search.from_bits(adj, _piles(len(adj), left, right, value), budget)
+    if not has_class(search, (((left,), (right,), berths), ((right,), (left,), berths))):
         return None
+    inst = uniform_instance(graph_from_bits(adj), left, right, value)
+    got = classify(final_scores(inst, budget=budget))
+    return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
+
+
+def _ties_with_mirror(adj, left, right, value, budget) -> Violation | None:
+    """The board and its mirror side by side: the mirror is the same board
+    shifted up by n with the berths swapped, so Left holds (left, right + n)."""
+    n = len(adj)
+    wt = _piles(n, left, right, value)
+    berths = (1 << left | 1 << right) * ((1 << n) + 1)
+    search = Search.from_bits(adj + [b << n for b in adj], wt + wt, budget)
+    lefts, rights = (left, right + n), (right, left + n)
+    if _is_tie(search, ((lefts, rights, berths), (rights, lefts, berths))):
+        return None
+    inst = uniform_instance(graph_from_bits(adj), left, right, value)
+    got = classify(final_scores(inst, negate_instance(inst), budget=budget))
     return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
 
 
@@ -254,7 +330,7 @@ def check_no_p_positions(
 ) -> SweepReport:
     """Uniform positive piles: the second player never wins outright."""
     return _uniform_sweep(
-        "pt-x", partial(_class_is_not, OutcomeClass.P), x, 1, max_exhaustive_n,
+        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p), x, 1, max_exhaustive_n,
         random_trials, random_max_n, seed, jobs, budget,
     )
 
@@ -270,7 +346,7 @@ def check_no_n_positions(
 ) -> SweepReport:
     """Uniform negative piles: the first player never wins outright."""
     return _uniform_sweep(
-        "pt-negx", partial(_class_is_not, OutcomeClass.N), x, -1, max_exhaustive_n,
+        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n), x, -1, max_exhaustive_n,
         random_trials, random_max_n, seed, jobs, budget,
     )
 

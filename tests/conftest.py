@@ -16,12 +16,15 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def sweeps_must_not_start(monkeypatch):
-    """Make any board enumeration or sweep runner call fail at once, so a
-    missing input check fails fast instead of building millions of boards."""
+    """Make any graph enumeration, graph draw or sweep runner call fail at
+    once, so a missing input check fails fast instead of checking millions
+    of boards."""
     from pirates_treasure.theory import sweeps
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep must not start")
 
-    for name in ("enumerate_ptx", "enumerate_pt_negx", "_sweep"):
+    for name in (
+        "connected_adjacencies", "uniform_boards_bits", "random_uniform_bits", "_sweep"
+    ):
         monkeypatch.setattr(sweeps, name, refuse)

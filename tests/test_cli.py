@@ -158,8 +158,8 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
             "self-sum sweep has nothing to check: no exhaustive size of 2 or more "
             "(max_exhaustive_n=1) and no random trials",
         ),
-        (["pt-x", "--max-n", "7"], "pt-x sweep supports max_exhaustive_n <= 6, got 7"),
-        (["pt-negx", "--max-n", "8"], "pt-negx sweep supports max_exhaustive_n <= 6, got 8"),
+        (["pt-x", "--max-n", "8"], "pt-x sweep supports max_exhaustive_n <= 7, got 8"),
+        (["pt-negx", "--max-n", "8"], "pt-negx sweep supports max_exhaustive_n <= 7, got 8"),
         (
             ["reduction", "--seeds", "5"],
             "verify reduction takes no --seeds or --seed: it draws no random boards",

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from pirates_treasure.errors import ValidationError
-from pirates_treasure.model import serialize_instance
-from pirates_treasure.solver import OutcomeClass
+from pirates_treasure.algebra import negate_instance
+from pirates_treasure.engine import Player, initial_position
+from pirates_treasure.errors import BudgetExceededError, ValidationError
+from pirates_treasure.model import Instance, serialize_instance
+from pirates_treasure.solver import (
+    DEFAULT_NODE_BUDGET,
+    FinalScores,
+    OutcomeClass,
+    Search,
+    _union_state,
+    classify,
+    final_scores,
+)
 from pirates_treasure.theory import sweeps
 from pirates_treasure.theory import (
     OUTCOME_TABLE,
@@ -19,8 +30,10 @@ from pirates_treasure.theory import (
     check_reduction_sweep,
     check_self_sum_tie,
     check_table_witnesses,
+    enumerate_pt_negx,
     enumerate_ptx,
     outcome_table_cell,
+    random_pt_instance,
     random_ptx_instance,
 )
 
@@ -154,18 +167,18 @@ def test_uniform_sweeps_reject_a_non_positive_pile_value(sweep, x):
         ),
         (
             check_no_p_positions,
-            dict(max_exhaustive_n=7),
-            "pt-x sweep supports max_exhaustive_n <= 6, got 7",
+            dict(max_exhaustive_n=8),
+            "pt-x sweep supports max_exhaustive_n <= 7, got 8",
         ),
         (
             check_no_n_positions,
             dict(max_exhaustive_n=8),
-            "pt-negx sweep supports max_exhaustive_n <= 6, got 8",
+            "pt-negx sweep supports max_exhaustive_n <= 7, got 8",
         ),
         (
             check_self_sum_tie,
-            dict(max_exhaustive_n=7),
-            "self-sum sweep supports max_exhaustive_n <= 6, got 7",
+            dict(max_exhaustive_n=8),
+            "self-sum sweep supports max_exhaustive_n <= 7, got 8",
         ),
         (check_outcome_table, dict(trials=-3), "trials must be at least 1, got -3"),
         (check_outcome_table, dict(trials=0), "trials must be at least 1, got 0"),
@@ -198,16 +211,188 @@ def _boards_visited(max_exhaustive_n, random_trials, random_max_n, seed):
 
 
 @pytest.mark.parametrize(
-    "sweep, always",
-    [(check_no_p_positions, OutcomeClass.P), (check_self_sum_tie, OutcomeClass.L)],
+    "sweep, predicate, hit",
+    [(check_no_p_positions, "_is_p", True), (check_self_sum_tie, "_is_tie", False)],
 )
-def test_sweeps_visit_the_exhaustive_boards_then_the_seeded_draws(monkeypatch, sweep, always):
+def test_sweeps_visit_the_exhaustive_boards_then_the_seeded_draws(
+    monkeypatch, sweep, predicate, hit
+):
     # every board counts as a violation, so the report lists every board checked
-    monkeypatch.setattr(sweeps, "classify", lambda scores: always)
+    monkeypatch.setattr(sweeps, predicate, lambda search, roots: hit)
     report = sweep(max_exhaustive_n=3, random_trials=25, random_max_n=6, seed=17)
     texts = [v.instance_text for v in report.violations]
     assert texts == _boards_visited(3, 25, 6, 17)
     assert report.checked == len(texts) == 26 + 25
+
+
+def _record_boards(monkeypatch, predicate, answer):
+    """Replace a class predicate by one that records the adjacency bits,
+    pile values and packed roots it is asked about, and answers ``answer``."""
+    seen = []
+
+    def record(search, roots):
+        seen.append((list(search.adj), list(search.wt), roots))
+        return answer
+
+    monkeypatch.setattr(sweeps, predicate, record)
+    return seen
+
+
+def _packed(*boards):
+    """What the reference route searches for these boards side by side."""
+    search = Search(boards, DEFAULT_NODE_BUDGET)
+    roots = tuple(
+        _union_state([initial_position(b, first) for b in boards], first)
+        for first in (Player.LEFT, Player.RIGHT)
+    )
+    return list(search.adj), list(search.wt), roots
+
+
+@pytest.mark.parametrize(
+    "sweep, predicate, family",
+    [
+        (check_no_p_positions, "_is_p", enumerate_ptx),
+        (check_no_n_positions, "_is_n", enumerate_pt_negx),
+    ],
+)
+def test_uniform_sweeps_search_the_enumerated_boards_in_order(
+    monkeypatch, sweep, predicate, family
+):
+    seen = _record_boards(monkeypatch, predicate, False)
+    report = sweep(max_exhaustive_n=5, x=2, random_trials=0)
+    assert seen == [_packed(inst) for n in range(2, 6) for inst in family(n, 2)]
+    assert report.checked == report.params["exhaustive"] == 15042
+    assert report.passed
+
+
+def test_uniform_sweeps_search_the_seeded_draws_in_order(monkeypatch):
+    seen = _record_boards(monkeypatch, "_is_p", False)
+    report = check_no_p_positions(
+        max_exhaustive_n=1, x=3, random_trials=2000, random_max_n=9, seed=40
+    )
+    expected = []
+    for seed in range(40, 2040):
+        rng = random.Random(seed)
+        expected.append(_packed(random_ptx_instance(rng.randint(2, 9), 3, rng)))
+    assert seen == expected
+    assert (report.checked, report.params["exhaustive"]) == (2000, 0)
+
+
+def test_self_sum_searches_each_board_beside_its_mirror(monkeypatch):
+    seen = _record_boards(monkeypatch, "_is_tie", True)
+    report = check_self_sum_tie(
+        max_exhaustive_n=4, x=2, random_trials=300, random_max_n=7, seed=60
+    )
+    boards = [inst for n in range(2, 5) for inst in enumerate_ptx(n, 2)]
+    for seed in range(60, 360):
+        rng = random.Random(seed)
+        boards.append(random_ptx_instance(rng.randint(2, 7), 2, rng))
+    assert seen == [_packed(inst, negate_instance(inst)) for inst in boards]
+    assert report.checked == 482 + 300 and report.passed
+
+
+_PREDICATES = {_P: "_is_p", _N: "_is_n", _T: "_is_tie"}
+
+
+def _mixed_sign_boards(count, seed):
+    """Random 3- to 7-vertex boards with piles 1..4, negated half the time."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = random_pt_instance(rng.randint(3, 7), rng)
+        if rng.random() < 0.5:
+            negated = {v: -w for v, w in inst.weights.items()}
+            inst = Instance(inst.graph, negated, inst.left_starts, inst.right_starts)
+        yield inst
+
+
+@pytest.mark.parametrize("stuck", [0, -1, 1])
+def test_class_predicates_match_the_exact_class(stuck):
+    classes = Counter()
+    for inst in _mixed_sign_boards(4000, seed=70 + stuck):
+        starts = [(initial_position(inst, first), first) for first in (Player.LEFT, Player.RIGHT)]
+        if stuck:
+            exact = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+            got = classify(FinalScores(*(exact.final_score([p], first) for p, first in starts)))
+        else:
+            got = classify(final_scores(inst))
+        classes[got] += 1
+        roots = tuple(_union_state([p], first) for p, first in starts)
+        shared = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+        for cls, name in _PREDICATES.items():
+            predicate = getattr(sweeps, name)
+            fresh = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+            assert predicate(fresh, roots) is (got is cls), (name, serialize_instance(inst))
+            assert predicate(shared, roots) is (got is cls), (name, serialize_instance(inst))
+    # scoring play meets every class tested; a stuck mover's +-1 never ties
+    assert all(classes[cls] for cls in (_P, _N) + ((_T,) if stuck == 0 else ()))
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, predicate, hit, violation",
+    [
+        (
+            check_no_p_positions, dict(seed=25), "_is_p", True,
+            Violation(
+                "vertices 5\nv 0 ship L\nv 1 ship R\nv 2 value 1\nv 3 value 1\nv 4 value 1\n"
+                "e 0 1\ne 0 2\ne 0 3\ne 1 3\ne 3 4\n",
+                "class != P",
+                "class = N",
+            ),
+        ),
+        (
+            check_no_n_positions, dict(seed=24, x=2), "_is_n", True,
+            Violation(
+                "vertices 5\nv 0 ship L\nv 1 value -2\nv 2 value -2\nv 3 ship R\nv 4 value -2\n"
+                "e 0 1\ne 0 2\ne 0 3\ne 0 4\ne 1 4\n",
+                "class != N",
+                "class = R",
+            ),
+        ),
+        (
+            check_self_sum_tie, dict(seed=27), "_is_tie", False,
+            Violation(
+                "vertices 5\nv 0 value 1\nv 1 ship L\nv 2 value 1\nv 3 ship R\nv 4 value 1\n"
+                "e 0 1\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 3 4\n",
+                "board + mirror ties",
+                "class = TIE",
+            ),
+        ),
+    ],
+)
+def test_a_forced_hit_reports_the_board_and_its_exact_class(
+    monkeypatch, sweep, kwargs, predicate, hit, violation
+):
+    monkeypatch.setattr(sweeps, predicate, lambda search, roots: hit)
+    report = sweep(max_exhaustive_n=1, random_trials=1, random_max_n=5, **kwargs)
+    assert (report.checked, report.violations) == (1, [violation])
+
+
+def test_the_node_budget_bounds_the_class_test_not_the_exact_scores():
+    # each n <= 4 class test fits in 5 nodes; the exact scores of some boards do not
+    report = check_no_p_positions(max_exhaustive_n=4, random_trials=0, budget=5)
+    assert (report.checked, report.passed) == (482, True)
+    with pytest.raises(BudgetExceededError):
+        for inst in enumerate_ptx(4, 1):
+            final_scores(inst, budget=5)
+    with pytest.raises(BudgetExceededError):
+        check_no_p_positions(max_exhaustive_n=4, random_trials=0, budget=2)
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+@pytest.mark.parametrize(
+    "sweep",
+    [check_reduction_sweep, check_no_p_positions, check_self_sum_tie, check_outcome_table,
+     check_distinguishing],
+)
+def test_sweeps_reject_jobs_below_one(monkeypatch, sweep, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no item may be checked")
+
+    for worker in ("_reduction_block", "_uniform_block", "_table_item", "_distinguishing_item"):
+        monkeypatch.setattr(sweeps, worker, refuse)
+    with pytest.raises(ValidationError) as exc:
+        sweep(jobs=jobs)
+    assert str(exc.value) == f"jobs must be at least 1, got {jobs}"
 
 
 def test_sweep_report_rendering():

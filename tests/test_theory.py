@@ -90,6 +90,28 @@ def test_random_connected_graph_is_connected():
         assert g.is_connected()
 
 
+def _set_based_draw(n, rng):
+    """Reference for the bitmask draw: the same tree and extra edges on a set."""
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < 0.25:
+                edges.add((u, v))
+    return frozenset(edges)
+
+
+def test_random_connected_graph_matches_the_set_based_draw():
+    for seed in range(500):
+        ours, reference = random.Random(seed), random.Random(seed)
+        n = ours.randint(1, 10)
+        reference.randint(1, 10)
+        assert random_connected_graph(n, ours).edges == _set_based_draw(n, reference)
+        # the same numbers were drawn, so later draws stay in step
+        assert ours.random() == reference.random()
+
+
 def test_random_ptx_instance_is_uniform():
     rng = random.Random(7)
     for _ in range(20):
