@@ -5,9 +5,12 @@ alpha-beta with a bound-flagged transposition table over packed states.
 It is built from a sequence of boards laid side by side, which is again
 one board: their disjoint union, with the fleets merged.  A single board
 is the one-component case, and a disjunctive sum (:mod:`.algebra`) is
-just a larger, disconnected board.  Table values are the optimal score
-still to come from a state, taken from the mover's side, so
-transpositions reached at different running scores share one entry.
+just a larger, disconnected board.  A packed state is three vertex
+masks: the mover's fleet, the other fleet and the plundered vertices.
+Ships never share a vertex, so a fleet mask holds what a sorted tuple
+of ship vertices would.  Table values are the optimal score still to
+come from a state, taken from the mover's side, so transpositions
+reached at different running scores share one entry.
 
 Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
@@ -28,15 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Player, Position, Move, initial_position, moves_for, apply_move
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 from .model import Instance
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
 _EXACT, _LOWER, _UPPER = 0, 1, 2
+_pile = itemgetter(0)
 
 
 class FinalScores(NamedTuple):
@@ -94,21 +99,19 @@ class Search:
     """Negamax alpha-beta with a transposition table over boards side by side.
 
     Component ``i`` keeps its own vertex numbering, shifted up by the
-    vertex counts of the components before it.  A merged fleet is then
-    the concatenation of the components' sorted fleets, which is itself
-    sorted, so a state of the union packs exactly as the tuple of its
-    component states would.
+    vertex counts of the components before it, so a merged fleet mask is
+    the OR of the components' fleet masks, each shifted by its offset.
 
     A pile counts for whoever takes it, so :meth:`value` scores from the
     mover's side and one move loop serves both players.  ``stuck`` is what
     a mover with no move gets: 0 in scoring play, -1 in normal play, +1 in
     misere play; a nonzero ``stuck`` also makes all treasure worth 0.  The
-    table key is (mover's fleet, other fleet, plundered mask) without the
-    side to move, so a state and its mirror image (fleets swapped, the
-    other side to move) share one entry.
+    table key packs (mover's fleet, other fleet, plundered) masks into one
+    int without the side to move, so a state and its mirror image (fleets
+    swapped, the other side to move) share one entry.
     """
 
-    __slots__ = ("adj", "wt", "stuck", "inf", "memo", "nodes", "budget", "what")
+    __slots__ = ("adj", "wt", "n", "stuck", "inf", "memo", "nodes", "budget", "what")
 
     def __init__(
         self,
@@ -129,7 +132,8 @@ class Search:
     @classmethod
     def from_bits(cls, adj: list[int], wt: list[int], budget: int) -> Search:
         """A search over one board given as per-vertex neighbor bitmasks and
-        pile values (0 on berths); roots are then packed states passed to
+        pile values (0 on berths); roots are then packed states, three
+        vertex masks (mover's fleet, other fleet, plundered), passed to
         :meth:`value`."""
         search = cls.__new__(cls)
         search._bind(adj, wt, budget, 0, "solve")
@@ -138,6 +142,7 @@ class Search:
     def _bind(self, adj: list[int], wt: list[int], budget: int, stuck: int, what: str) -> None:
         self.adj = adj
         self.wt = wt
+        self.n = len(adj)
         self.stuck = stuck
         self.inf = sum(map(abs, wt)) + abs(stuck) + 1
         self.memo: dict = {}
@@ -169,26 +174,39 @@ class Search:
         return -self.value(*root, -beta, -alpha)
 
     def value(self, ships, others, visited, alpha, beta):
-        """Optimal score still to come for the mover, who owns ``ships``;
-        exact within (alpha, beta)."""
+        """Optimal score still to come for the mover, who owns the fleet mask
+        ``ships``; exact within (alpha, beta).
+
+        Ships move low bit to high, each to its targets low to high, and
+        moves are tried by pile, highest first, ties in that order.  Over
+        ``n`` vertices the table key is one int,
+        ``(ships << n | others) << n | visited``, and so is the entry,
+        ``value << 2 | flag``.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(self.budget, self.what)
         adj = self.adj
         wt = self.wt
         moves = []
-        for si in range(len(ships)):
-            m = adj[ships[si]] & ~visited
+        fleet = ships
+        while fleet:
+            at = fleet & -fleet
+            fleet ^= at
+            m = adj[at.bit_length() - 1] & ~visited
+            rest = ships ^ at
             while m:
                 b = m & -m
                 m ^= b
-                moves.append((si, b.bit_length() - 1, b))
+                moves.append((wt[b.bit_length() - 1], rest | b, b))
         if not moves:
             return self.stuck
-        key = (ships, others, visited)
+        n = self.n
+        key = (ships << n | others) << n | visited
         entry = self.memo.get(key)
         if entry is not None:
-            flag, v = entry
+            flag = entry & 3
+            v = entry >> 2
             if flag == _EXACT:
                 return v
             if flag == _LOWER:
@@ -203,18 +221,9 @@ class Search:
                     beta = v
         alpha0, beta0 = alpha, beta
         if len(moves) > 1:
-            moves.sort(key=lambda t: -wt[t[1]])
-        single = len(ships) == 1
+            moves.sort(key=_pile, reverse=True)
         best = -self.inf
-        for si, to, bit in moves:
-            if single:
-                moved = (to,)
-            else:
-                tmp = list(ships)
-                tmp[si] = to
-                tmp.sort()
-                moved = tuple(tmp)
-            w = wt[to]
+        for w, moved, bit in moves:
             v = w - self.value(others, moved, visited | bit, w - beta, w - alpha)
             if v > best:
                 best = v
@@ -228,31 +237,34 @@ class Search:
             flag = _LOWER
         else:
             flag = _EXACT
-        self.memo[key] = (flag, best)
+        self.memo[key] = best << 2 | flag
         return best
 
 
-def _union_state(
-    positions: Sequence[Position], mover: Player
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Packed (mover's fleet, other fleet, plundered mask) of boards side by side."""
-    lships: list[int] = []
-    rships: list[int] = []
-    visited = 0
+def _union_state(positions: Sequence[Position], mover: Player) -> tuple[int, int, int]:
+    """Packed (mover's fleet, other fleet, plundered mask) of boards side by
+    side, each a vertex mask.  A mask holds one ship per vertex, so two ships
+    of one fleet on one vertex are rejected here rather than merged."""
+    lships = rships = visited = 0
     offset = 0
     for pos in positions:
-        lships += [v + offset for v in pos.left_ships]
-        rships += [v + offset for v in pos.right_ships]
-        mask = 0
+        lships |= _fleet_mask(pos.left_ships) << offset
+        rships |= _fleet_mask(pos.right_ships) << offset
         for v in pos.visited:
-            mask |= 1 << v
-        visited |= mask << offset
+            visited |= 1 << v + offset
         offset += pos.instance.graph.vertex_count
-    lships.sort()
-    rships.sort()
     if mover is Player.LEFT:
-        return tuple(lships), tuple(rships), visited
-    return tuple(rships), tuple(lships), visited
+        return lships, rships, visited
+    return rships, lships, visited
+
+
+def _fleet_mask(fleet: Sequence[int]) -> int:
+    mask = 0
+    for v in fleet:
+        if mask >> v & 1:
+            raise ValidationError(f"two ships share vertex {v}")
+        mask |= 1 << v
+    return mask
 
 
 def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalScores:
@@ -328,8 +340,7 @@ def _children(search: Search, positions: Sequence[Position], mover: Player, root
         for move in moves_for(pos, mover):
             at = fleet[move.ship] + offset
             to = move.to + offset
-            moved = tuple(sorted(to if s == at else s for s in ships))
-            yield (ci, move), search.wt[to], (others, moved, visited | 1 << to)
+            yield (ci, move), search.wt[to], (others, ships ^ 1 << at | 1 << to, visited | 1 << to)
         offset += pos.instance.graph.vertex_count
 
 
@@ -402,7 +413,9 @@ def greedy_score(
         return result
 
     pos = initial_position(inst, first_player)
-    to_come = rec(*_union_state((pos,), first_player), greedy_player is first_player)
+    visited = sum(1 << v for v in pos.visited)
+    ships, others = pos.ships_of(first_player), pos.ships_of(first_player.opponent)
+    to_come = rec(ships, others, visited, greedy_player is first_player)
     return pos.score + to_come if first_player is Player.LEFT else pos.score - to_come
 
 
@@ -436,5 +449,5 @@ def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int
             return 0
         return max(results) if left_to_move else min(results)
 
-    l, r, visited = _union_state((pos,), Player.LEFT)
-    return pos.score + rec(l, r, visited, pos.to_move is Player.LEFT)
+    visited = sum(1 << v for v in pos.visited)
+    return pos.score + rec(pos.left_ships, pos.right_ships, visited, pos.to_move is Player.LEFT)

@@ -40,23 +40,28 @@ def reduce_from_hampath(g: Graph, left_start: int) -> Instance:
     )
 
 
-def gadget_bits(adj: Sequence[int], left_start: int) -> tuple[list[int], list[int], tuple]:
+def gadget_bits(
+    adj: Sequence[int], left_start: int
+) -> tuple[list[int], list[int], tuple[int, int, int]]:
     """The board of :func:`reduce_from_hampath`, straight from the graph's
     neighbor bitmasks: its adjacency, its pile values (0 on the berths) and
-    its packed root with Left to move, ready for :meth:`Search.from_bits`."""
+    its packed root with Left to move, ready for :meth:`Search.from_bits`.
+    The root is three vertex masks: Left's fleet, Right's fleet and the
+    plundered vertices."""
     n = len(adj)
     board = list(adj)
     wt = [1] * (2 * n - 1)
     wt[left_start] = 0
+    left = 1 << left_start
     if n < 2:
-        return board, wt, ((left_start,), (), 1 << left_start)
+        return board, wt, (left, 0, left)
     wt[n] = 0
     prev = left_start
     for fresh in range(n, 2 * n - 1):
         board[prev] |= 1 << fresh
         board.append(1 << prev)
         prev = fresh
-    return board, wt, ((left_start,), (n,), 1 << left_start | 1 << n)
+    return board, wt, (left, 1 << n, left | 1 << n)
 
 
 def hampath_oracle(g: Graph, start: int | None = None) -> bool:

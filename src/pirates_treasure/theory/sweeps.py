@@ -18,9 +18,11 @@ no N positions at -x, a board plus its mirror ties) share one driver,
 :func:`_uniform_sweep`, built the same way: the exhaustive boards come
 first, in blocks of edge masks, then the seeded draws, in blocks of
 seeds, each board enumerated or drawn as bitmasks inside the worker.  A
-check asks only its own question: it packs the two roots and runs
-zero-window searches that stop at the first root that rules the class
-out, and it builds an :class:`~pirates_treasure.model.Instance` and asks
+check asks only its own question: it packs the two roots, each three
+vertex masks (mover's fleet, other fleet, plundered; a board beside its
+mirror holds two ships a side), and runs zero-window searches that stop
+at the first root that rules the class out, and it builds an
+:class:`~pirates_treasure.model.Instance` and asks
 :func:`~pirates_treasure.solver.final_scores` for the class only to
 report a violation.  The table check asks ``final_scores`` for the two
 scores of the boards side by side, never for a full report; the
@@ -295,9 +297,10 @@ def _is_tie(search: Search, roots) -> bool:
 def _class_is_not(
     forbidden: OutcomeClass, has_class: Callable, adj, left, right, value, budget
 ) -> Violation | None:
-    berths = 1 << left | 1 << right
+    lefts, rights = 1 << left, 1 << right
+    berths = lefts | rights
     search = Search.from_bits(adj, _piles(len(adj), left, right, value), budget)
-    if not has_class(search, (((left,), (right,), berths), ((right,), (left,), berths))):
+    if not has_class(search, ((lefts, rights, berths), (rights, lefts, berths))):
         return None
     inst = uniform_instance(graph_from_bits(adj), left, right, value)
     got = classify(final_scores(inst, budget=budget))
@@ -311,7 +314,7 @@ def _ties_with_mirror(adj, left, right, value, budget) -> Violation | None:
     wt = _piles(n, left, right, value)
     berths = (1 << left | 1 << right) * ((1 << n) + 1)
     search = Search.from_bits(adj + [b << n for b in adj], wt + wt, budget)
-    lefts, rights = (left, right + n), (right, left + n)
+    lefts, rights = 1 << left | 1 << right + n, 1 << right | 1 << left + n
     if _is_tie(search, ((lefts, rights, berths), (rights, lefts, berths))):
         return None
     inst = uniform_instance(graph_from_bits(adj), left, right, value)

@@ -151,12 +151,14 @@ def test_final_scores_of_boards_side_by_side_match_the_sum_report(case):
 
 def test_packed_children_follow_sum_move_generation():
     # Played-in fleets are no longer sorted, so a ship index must be read
-    # from the component's own fleet, not from the packed (sorted) one.
+    # from the component's own fleet, not from the packed (ascending) one.
+    # The last 200 trials sum 2-3 boards with fleets of 2-3: up to 9 ships a side.
     rng = random.Random(6)
-    for trial in range(300):
+    draws = [((1, 2), (1, 3))] * 300 + [((2, 3), (2, 3))] * 200
+    for trial, (components, fleets) in enumerate(draws):
         boards = []
-        for _ in range(rng.randint(1, 2)):
-            left, right = rng.randint(1, 3), rng.randint(1, 3)
+        for _ in range(rng.randint(*components)):
+            left, right = rng.randint(*fleets), rng.randint(*fleets)
             boards.append(
                 random_instance(
                     vertex_count=rng.randint(left + right, 9),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -15,7 +16,7 @@ from pirates_treasure.engine import (
     is_terminal,
     legal_moves,
 )
-from pirates_treasure.errors import BudgetExceededError
+from pirates_treasure.errors import BudgetExceededError, ValidationError
 from pirates_treasure.fixtures import fig_ex, fig_ex1, fig_half
 from pirates_treasure.model import Graph, Instance, random_instance
 from pirates_treasure.solver import (
@@ -216,28 +217,31 @@ def _minimax_children(pos: Position) -> tuple[list[tuple[Move, int]], int]:
     return values, best
 
 
+def _assert_report_matches_minimax(inst: Instance, report, why: str) -> None:
+    """Best moves: every move whose child keeps the optimum; each PV step:
+    the optimal move with the lowest (ship, target vertex)."""
+    for first, best, pv in (
+        (L, report.best_first_moves_left, report.pv_left),
+        (R, report.best_first_moves_right, report.pv_right),
+    ):
+        pos = initial_position(inst, first)
+        if is_terminal(pos):
+            assert best == frozenset() and pv == ()
+            continue
+        values, opt = _minimax_children(pos)
+        assert best == frozenset(m for m, v in values if v == opt), why
+        for step, move in enumerate(pv):
+            values, opt = _minimax_children(pos)
+            expected = min((m for m, v in values if v == opt), key=Move.sort_key)
+            assert move == expected, f"{why}, {first} first, step {step}"
+            pos = apply_move(pos, move)
+        assert is_terminal(pos), f"{why}, {first} first: variation stops early"
+
+
 def test_best_moves_and_variations_match_minimax():
-    # best moves: every move whose child keeps the optimum; each PV step:
-    # the optimal move with the lowest (ship, target vertex)
     for seed in range(150):
         inst = _random_fleet_board(6000 + seed)
-        report = solve(inst)
-        for first, best, pv in (
-            (L, report.best_first_moves_left, report.pv_left),
-            (R, report.best_first_moves_right, report.pv_right),
-        ):
-            pos = initial_position(inst, first)
-            if is_terminal(pos):
-                assert best == frozenset() and pv == ()
-                continue
-            values, opt = _minimax_children(pos)
-            assert best == frozenset(m for m, v in values if v == opt), f"seed {seed}"
-            for step, move in enumerate(pv):
-                values, opt = _minimax_children(pos)
-                expected = min((m for m, v in values if v == opt), key=Move.sort_key)
-                assert move == expected, f"seed {seed}, {first} first, step {step}"
-                pos = apply_move(pos, move)
-            assert is_terminal(pos), f"seed {seed}, {first} first: variation stops early"
+        _assert_report_matches_minimax(inst, solve(inst), f"seed {seed}")
 
 
 def test_sum_best_moves_match_full_window_values():
@@ -284,3 +288,81 @@ def test_greedy_score_matches_position_reference():
                 expected = _greedy_reference(initial_position(inst, first), greedy)
                 got = greedy_score(inst, greedy, first)
                 assert got == expected, f"seed {seed}, greedy {greedy}, {first} first"
+
+
+def _side_by_side(boards) -> Instance:
+    """The boards as one disconnected board, each shifted past the ones
+    before it: the union the kernel packs, built without it."""
+    edges, weights, lefts, rights = [], {}, [], []
+    offset = 0
+    for inst in boards:
+        edges += [(u + offset, v + offset) for u, v in inst.graph.edges]
+        weights.update({v + offset: w for v, w in inst.weights.items()})
+        lefts += [v + offset for v in inst.left_starts]
+        rights += [v + offset for v in inst.right_starts]
+        offset += inst.graph.vertex_count
+    score = sum(inst.initial_score for inst in boards)
+    return Instance(Graph.from_edges(offset, edges), weights, tuple(lefts), tuple(rights), score)
+
+
+def test_three_ship_fleets_match_minimax():
+    # fleets of 3 a side, one more than the other minimax checks draw
+    for seed in range(120):
+        rng = random.Random(8000 + seed)
+        inst = random_instance(rng.randint(7, 10), rng.uniform(0.3, 0.9), (-3, 4), 3, 3, seed=seed)
+        inst = dataclasses.replace(inst, initial_score=rng.choice([-2, 0, 2]))
+        expected = FinalScores(
+            *(minimax_final_score(initial_position(inst, first)) for first in (L, R))
+        )
+        assert final_scores(inst) == expected, f"seed {seed}"
+        report = solve(inst)
+        assert report.final_scores == expected, f"seed {seed}"
+        _assert_report_matches_minimax(inst, report, f"seed {seed}")
+
+
+def test_multi_ship_sums_match_minimax_on_the_union():
+    # 2-3 components with fleets of 2 a side: up to 6 ships a side in the union
+    for seed in range(120):
+        rng = random.Random(9000 + seed)
+        count = rng.randint(2, 3)
+        boards = [
+            random_instance(rng.randint(4, 7 if count == 2 else 6), rng.uniform(0.3, 0.9),
+                            (-3, 4), 2, 2, seed=rng.randrange(10**6))
+            for _ in range(count)
+        ]
+        union = _side_by_side(boards)
+        expected = FinalScores(
+            *(minimax_final_score(initial_position(union, first)) for first in (L, R))
+        )
+        assert final_scores(*boards) == expected, f"seed {seed}"
+        report = solve(union)
+        assert report.final_scores == expected, f"seed {seed}"
+        _assert_report_matches_minimax(union, report, f"seed {seed}")
+        # a sum move (component, move) is the union's move of the same ship:
+        # each component before it adds 2 to the ship index and its vertices
+        # to the vertex
+        offsets = [0, *accumulate(b.graph.vertex_count for b in boards)]
+        summed = solve_sum(sum_position(boards, L))
+        assert summed.final_scores == expected, f"seed {seed}"
+        for sum_best, best in (
+            (summed.best_first_moves_left, report.best_first_moves_left),
+            (summed.best_first_moves_right, report.best_first_moves_right),
+        ):
+            as_union = {Move(m.player, 2 * ci + m.ship, offsets[ci] + m.to) for ci, m in sum_best}
+            assert as_union == best, f"seed {seed}"
+
+
+def test_two_ships_of_one_fleet_on_one_vertex_are_rejected():
+    # validate() rejects this board; one built around it must not be solved
+    # as if one of the two ships were missing, nor both played
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    inst = Instance(path, {1: 1, 2: 1}, left_starts=(0, 0), right_starts=(3,))
+    calls = [
+        lambda: final_scores(inst),
+        lambda: solve(inst),
+        lambda: solve_sum(sum_position([inst], L)),
+        lambda: solve_sum(sum_position([fig_ex(), inst], R)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^two ships share vertex 0$"):
+            call()

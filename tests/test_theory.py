@@ -188,7 +188,8 @@ def test_bitmask_gadget_matches_the_reference_board():
                 inst = reduce_from_hampath(g, s)
                 adj, wt, (ships, others, plundered) = gadget_bits(g.adjacency_bits, s)
                 assert adj == list(inst.graph.adjacency_bits)
-                assert (ships, others) == (inst.left_starts, inst.right_starts)
+                masks = tuple(sum(1 << v for v in f) for f in (inst.left_starts, inst.right_starts))
+                assert (ships, others) == masks
                 assert plundered == sum(1 << v for v in inst.start_vertices)
                 unplundered = [v for v in range(len(adj)) if not plundered >> v & 1]
                 assert {v: wt[v] for v in unplundered} == inst.weights
