@@ -21,7 +21,6 @@ from .algebra import (
     render_tree,
     shift_tree,
     sum_apply,
-    sum_is_terminal,
     sum_legal_moves,
     sum_position,
     solve_sum,
@@ -119,7 +118,6 @@ __all__ = [
     "solve",
     "solve_sum",
     "sum_apply",
-    "sum_is_terminal",
     "sum_legal_moves",
     "sum_position",
     "sum_trees",

@@ -279,10 +279,6 @@ def sum_apply(sp: SumPosition, sum_move: SumMove) -> SumPosition:
     return SumPosition(comps, sp.to_move.opponent)
 
 
-def sum_is_terminal(sp: SumPosition) -> bool:
-    return not sum_legal_moves(sp)
-
-
 @dataclass(frozen=True)
 class SumReport:
     final_scores: FinalScores

@@ -98,11 +98,9 @@ def apply_move(pos: Position, move: Move) -> Position:
     if move.to < 0 or not pos.instance.graph.adjacency_bits[at] >> move.to & 1:
         raise IllegalMoveError(f"no edge from {at} to {move.to}")
     new_ships = ships[: move.ship] + (move.to,) + ships[move.ship + 1 :]
-    gain = pos.instance.weight_of(move.to)
-    delta = gain if move.player is Player.LEFT else -gain
     kwargs = {
         "visited": pos.visited | {move.to},
-        "score": pos.score + delta,
+        "score": pos.score + score_delta(pos, move),
         "to_move": pos.to_move.opponent,
     }
     if move.player is Player.LEFT:

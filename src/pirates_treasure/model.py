@@ -64,9 +64,6 @@ class Graph:
             bits[v] |= 1 << u
         return tuple(bits)
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def is_connected(self) -> bool:
         return adjacency_connected(self.adjacency_bits)
 

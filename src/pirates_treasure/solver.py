@@ -377,6 +377,7 @@ def greedy_score(
     optimally against that fixed policy.  Values are taken from the
     mover's side, as in :class:`Search`.
     """
+    _one_ship_per_vertex(inst.left_starts, inst.right_starts)
     adj = inst.graph.adjacency_bits
     wt = inst.pile_values
     budget_box = [0]
@@ -421,6 +422,7 @@ def greedy_score(
 
 def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Reference result: plain exhaustive minimax, no table, no pruning."""
+    _one_ship_per_vertex(pos.left_ships, pos.right_ships)
     adj = pos.instance.graph.adjacency_bits
     wt = pos.instance.pile_values
     counter = [0]
@@ -451,3 +453,12 @@ def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int
 
     visited = sum(1 << v for v in pos.visited)
     return pos.score + rec(pos.left_ships, pos.right_ships, visited, pos.to_move is Player.LEFT)
+
+
+def _one_ship_per_vertex(*fleets: Sequence[int]) -> None:
+    """The reference routes' own check of what :func:`_fleet_mask` rejects:
+    two ships of one fleet on one vertex."""
+    for fleet in fleets:
+        for i, v in enumerate(fleet):
+            if v in fleet[:i]:
+                raise ValidationError(f"two ships share vertex {v}")

@@ -1,6 +1,5 @@
 """Verification lab: reductions, instance families, sweeps, conventions."""
 
-from .contexts import distinguish, distinguishing_context
 from .conventions import (
     ConventionReport,
     convention_best_moves,
@@ -10,17 +9,14 @@ from .conventions import (
 )
 from .families import (
     connected_labeled_graphs,
+    distinguishing_context,
     enumerate_pt_negx,
     enumerate_ptx,
-    random_connected_graph,
     random_pt_instance,
     random_ptx_instance,
     uniform_instance,
 )
 from .reduction import (
-    check_grid_reduction,
-    check_reduction,
-    euler_planar_bound,
     hampath_by_permutations,
     hampath_oracle,
     reduce_from_hampath,
@@ -45,28 +41,23 @@ __all__ = [
     "SweepReport",
     "Violation",
     "check_distinguishing",
-    "check_grid_reduction",
     "check_no_n_positions",
     "check_no_p_positions",
     "check_outcome_table",
-    "check_reduction",
     "check_reduction_sweep",
     "check_self_sum_tie",
     "check_table_witnesses",
     "connected_labeled_graphs",
     "convention_best_moves",
     "convention_comparison",
-    "distinguish",
     "distinguishing_context",
     "enumerate_pt_negx",
     "enumerate_ptx",
-    "euler_planar_bound",
     "hampath_by_permutations",
     "hampath_oracle",
     "misere_outcome",
     "normal_outcome",
     "outcome_table_cell",
-    "random_connected_graph",
     "random_pt_instance",
     "random_ptx_instance",
     "reduce_from_hampath",

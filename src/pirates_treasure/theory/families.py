@@ -2,7 +2,9 @@
 
 The uniform-value families (every pile worth the same x > 0, or the same
 -x < 0) are where the structural claims about outcome classes live, so
-they get first-class generators here.
+they get first-class generators here.  The distinguishing context, the
+board summed with each random board of the distinguishing sweep, is
+built here too.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ def random_connected_adjacency(n: int, rng: random.Random) -> list[int]:
     return adj
 
 
-def random_connected_graph(n: int, rng: random.Random) -> Graph:
-    """The graph of :func:`random_connected_adjacency`."""
-    return graph_from_bits(random_connected_adjacency(n, rng))
-
-
 def random_uniform_bits(n: int, rng: random.Random) -> tuple[list[int], int, int]:
     """(adjacency, Left berth, Right berth) of a random connected board: the
     graph is drawn first, then the two distinct berths."""
@@ -172,3 +169,27 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
         validate(inst)
         if adj[left] & ~(1 << right):
             return inst
+
+
+def distinguishing_context(g_inst: Instance) -> Instance:
+    """The overweight edge that separates ``g_inst`` from the empty game.
+
+    Score-preserving play admits no nonzero game that sums invisibly: any
+    board with a Left ship is exposed by one overwhelming context.  This
+    context is a single edge holding a Right ship next to a pile worth one
+    more than the sum of the positive piles of ``g_inst``, more than
+    everything Left could ever collect.  Left's forced opening move
+    elsewhere lets Right cash it, driving the Left-moving-first result
+    negative while the context alone ends level.  Requires at least one
+    Left ship; the construction leans on Left having to move somewhere on
+    the board.
+    """
+    if not g_inst.left_starts:
+        raise ValidationError("needs a Left ship on the board to distinguish")
+    bait = 1 + g_inst.total_positive_weight()
+    return Instance(
+        Graph.from_edges(2, [(0, 1)]),
+        weights={1: bait},
+        left_starts=(),
+        right_starts=(0,),
+    )

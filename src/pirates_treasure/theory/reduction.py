@@ -15,8 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from ..errors import BudgetExceededError, ValidationError
-from ..model import Graph, GridSpec, Instance, grid_graph
-from ..solver import DEFAULT_NODE_BUDGET, left_wins_moving_first
+from ..model import Graph, Instance
 
 
 def reduce_from_hampath(g: Graph, left_start: int) -> Instance:
@@ -120,36 +119,3 @@ def hampath_by_permutations(g: Graph, start: int | None = None) -> bool:
         if all(adj[order[i]] >> order[i + 1] & 1 for i in range(n - 1)):
             return True
     return False
-
-
-def check_reduction(
-    g: Graph, left_start: int, budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """Does the solver's first-player verdict match the path oracle?"""
-    solver_says = left_wins_moving_first(reduce_from_hampath(g, left_start), budget)
-    oracle_says = hampath_oracle(g, start=left_start)
-    return solver_says == oracle_says
-
-
-def euler_planar_bound(g: Graph) -> bool:
-    """Necessary planarity condition: at most 3n - 6 edges once n >= 3."""
-    n = g.vertex_count
-    if n <= 2:
-        return True
-    return g.edge_count() <= 3 * n - 6
-
-
-def check_grid_reduction(
-    cols: int, rows: int, left_cell: tuple[int, int], budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
-    """Reduction check on a grid graph, plus an edge-count planarity guard.
-
-    Grafting a path onto a planar graph keeps it planar, so the built
-    board must stay under the Euler edge bound; that and the solver/oracle
-    agreement are both required for a True result.
-    """
-    grid = grid_graph(cols, rows)
-    left_start = GridSpec(cols, rows).vertex_id(*left_cell)
-    if not euler_planar_bound(reduce_from_hampath(grid, left_start).graph):
-        return False
-    return check_reduction(grid, left_start, budget)

@@ -3,10 +3,11 @@
 Each sweep checks one structural claim on every item of a list and
 returns a :class:`SweepReport` with every counterexample found.  One
 runner, :func:`_sweep`, applies a module-level check to the items, in
-this process or over one process pool, keeps the violations in item
-order and builds the report, so splitting the work never changes the
-result, only the wall time.  Sweeps are deterministic for fixed
-parameters.
+this process or over one process pool.  Every check returns one shape:
+the number of checks it made on its item and the list of its violations.
+The runner adds up the counts, keeps the violations in item order and
+builds the report, so splitting the work never changes the result, only
+the wall time.  Sweeps are deterministic for fixed parameters.
 
 The reduction sweep's items are blocks of edge masks: each worker
 enumerates the connected graphs of its block and checks every berth of
@@ -49,10 +50,10 @@ from ..solver import (
     classify,
     final_scores,
 )
-from .contexts import distinguishing_context
 from .families import (
     MAX_ENUMERATION_N,
     connected_adjacencies,
+    distinguishing_context,
     graph_from_bits,
     random_pt_instance,
     random_ptx_instance,
@@ -98,13 +99,11 @@ class SweepReport:
 
 
 def _sweep(
-    name: str, check: Callable, items: Sequence, jobs: int, params: dict,
-    several: bool = False,
+    name: str, check: Callable, items: Sequence, jobs: int, params: dict
 ) -> SweepReport:
     """Apply ``check`` to every item, optionally across one process pool.
 
-    ``check`` returns a :class:`Violation` or None, or, when each item
-    carries ``several`` checks, the number it made and the list of its
+    ``check`` returns the number of checks it made and the list of its
     violations.  Results come back in item order whatever the job count,
     so reports are identical for any ``jobs``, which must be at least 1.
     """
@@ -115,12 +114,8 @@ def _sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunksize = max(1, len(items) // (jobs * 8))
             results = list(pool.map(check, items, chunksize=chunksize))
-    if several:
-        checked = sum(count for count, _ in results)
-        violations = [v for _, found in results for v in found]
-    else:
-        checked = len(items)
-        violations = [r for r in results if r is not None]
+    checked = sum(count for count, _ in results)
+    violations = [v for _, found in results for v in found]
     return SweepReport(name, checked, violations, params)
 
 
@@ -191,7 +186,7 @@ def check_reduction_sweep(
         for n in range(1, max_n + 1)
         for masks in _blocks(0, _mask_count(n), _REDUCTION_BLOCK)
     ]
-    return _sweep("reduction", _reduction_block, items, jobs, {"max_n": max_n}, several=True)
+    return _sweep("reduction", _reduction_block, items, jobs, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +256,7 @@ def _uniform_sweep(
         max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
     )
-    report = _sweep(name, _uniform_block, items, jobs, params, several=True)
+    report = _sweep(name, _uniform_block, items, jobs, params)
     # each seed is one board, so the rest of the count is the exhaustive part
     params["exhaustive"] = report.checked - random_trials
     return report
@@ -402,7 +397,8 @@ def outcome_table_cell(a: OutcomeClass, b: OutcomeClass) -> frozenset[OutcomeCla
     return OUTCOME_TABLE.get(tuple(sorted((a.value, b.value))))
 
 
-def _table_item(item) -> Violation | None:
+def _table_item(item) -> tuple[int, list[Violation]]:
+    """One seeded pair of uniform boards: the sum's class against its cell."""
     seed, max_component_n, x, budget = item
     rng = random.Random(seed)
     a = random_ptx_instance(rng.randint(2, max_component_n), x, rng)
@@ -412,12 +408,12 @@ def _table_item(item) -> Violation | None:
     text = serialize_instance(a) + "+\n" + serialize_instance(b)
     cell = outcome_table_cell(class_a, class_b)
     if cell is None:
-        return Violation(text, "summands on the table", f"{class_a} + {class_b}")
+        return 1, [Violation(text, "summands on the table", f"{class_a} + {class_b}")]
     got = classify(final_scores(a, b, budget=budget))
     if got not in cell:
         allowed = "/".join(sorted(c.value for c in cell))
-        return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
-    return None
+        return 1, [Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")]
+    return 1, []
 
 
 def check_outcome_table(
@@ -482,7 +478,8 @@ def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
     return Search(boards, budget).final_score(roots, Player.LEFT)
 
 
-def _distinguishing_item(item) -> Violation | None:
+def _distinguishing_item(item) -> tuple[int, list[Violation]]:
+    """One seeded board: its Left-first sign alone and beside its context."""
     seed, max_n, budget = item
     rng = random.Random(seed)
     inst = random_pt_instance(rng.randint(3, max_n), rng)
@@ -491,13 +488,15 @@ def _distinguishing_item(item) -> Violation | None:
     summed = _left_first_score([inst, context], budget)
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     if sign(alone) != sign(summed):
-        return None
+        return 1, []
     text = serialize_instance(inst) + "+\n" + serialize_instance(context)
-    return Violation(
-        text,
-        "Left-first result changes sign next to the context",
-        f"alone = {alone}, summed = {summed}",
-    )
+    return 1, [
+        Violation(
+            text,
+            "Left-first result changes sign next to the context",
+            f"alone = {alone}, summed = {summed}",
+        )
+    ]
 
 
 def check_distinguishing(

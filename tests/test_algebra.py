@@ -14,7 +14,6 @@ from pirates_treasure.algebra import (
     shift_tree,
     solve_sum,
     sum_apply,
-    sum_is_terminal,
     sum_legal_moves,
     sum_position,
     sum_trees,
@@ -218,16 +217,16 @@ def test_sum_not_terminal_while_any_component_moves():
     # Left is stuck on the first board but can still move on the second.
     stuck = Instance(Graph.from_edges(2, [(0, 1)]), {}, (0,), (1,))
     sp = sum_position([stuck, _left_edge()], L)
-    assert not sum_is_terminal(sp)
+    assert sum_legal_moves(sp)
     only_stuck = sum_position([stuck], L)
-    assert sum_is_terminal(only_stuck)
+    assert not sum_legal_moves(only_stuck)
 
 
 def test_sum_terminal_cuts_off_remaining_piles():
     # Right first on two Left-edge boards: Right is stuck immediately,
     # so Left's waiting piles never get collected.
     sp = sum_position([_left_edge(), _left_edge()], R)
-    assert sum_is_terminal(sp)
+    assert not sum_legal_moves(sp)
     assert solve_sum(sum_position([_left_edge(), _left_edge()], L)).final_scores.right_first == 0
 
 

@@ -170,7 +170,7 @@ def test_grid_graph_edge_count():
     g = grid_graph(4, 3)
     assert g.vertex_count == 12
     # horizontal: 3 per row * 3 rows, vertical: 4 per column gap * 2 gaps
-    assert g.edge_count() == 9 + 8
+    assert len(g.edges) == 9 + 8
     assert g.is_connected()
 
 

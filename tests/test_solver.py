@@ -354,15 +354,21 @@ def test_multi_ship_sums_match_minimax_on_the_union():
 
 def test_two_ships_of_one_fleet_on_one_vertex_are_rejected():
     # validate() rejects this board; one built around it must not be solved
-    # as if one of the two ships were missing, nor both played
+    # as if one of the two ships were missing, nor both played, by the
+    # kernel or by the reference routes, which check the fleets themselves
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    inst = Instance(path, {1: 1, 2: 1}, left_starts=(0, 0), right_starts=(3,))
+    inst = Instance(path, {1: 1, 2: 2}, left_starts=(0, 0), right_starts=(3,))
     calls = [
         lambda: final_scores(inst),
         lambda: solve(inst),
         lambda: solve_sum(sum_position([inst], L)),
         lambda: solve_sum(sum_position([fig_ex(), inst], R)),
+        lambda: minimax_final_score(initial_position(inst, L)),
+        lambda: minimax_final_score(initial_position(inst, R)),
+        lambda: greedy_score(inst, L, L),
+        lambda: greedy_score(inst, R, L),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="^two ships share vertex 0$"):
             call()
+

@@ -120,6 +120,51 @@ def test_distinguishing_sweep_small():
     assert check_distinguishing(trials=60, max_n=6, seed=5).passed
 
 
+def test_table_and_distinguishing_sweeps_list_each_failing_item_once_in_order(monkeypatch):
+    # every item makes one check; the chosen items fail, each is listed
+    # once and in item order, and the rest pass
+    trials, chosen = 8, {1, 4, 5}
+    table_calls = iter(range(trials))
+
+    def off_table(a, b):
+        return None if next(table_calls) in chosen else outcome_table_cell(a, b)
+
+    monkeypatch.setattr(sweeps, "outcome_table_cell", off_table)
+    report = check_outcome_table(trials=trials, max_component_n=4, seed=3, jobs=1)
+    expected = []
+    for i in sorted(chosen):
+        rng = random.Random(3 + i)
+        a = random_ptx_instance(rng.randint(2, 4), 1, rng)
+        b = random_ptx_instance(rng.randint(2, 4), 1, rng)
+        expected.append(serialize_instance(a) + "+\n" + serialize_instance(b))
+    assert report.checked == trials
+    assert [v.instance_text for v in report.violations] == expected
+    assert {v.expected for v in report.violations} == {"summands on the table"}
+
+    real_context = sweeps.distinguishing_context
+    context_calls = iter(range(trials))
+
+    def left_bait(inst):
+        # a Left ship next to the bait: Left first ends positive alone and
+        # beside any board of positive piles, so the sign never changes
+        ctx = real_context(inst)
+        if next(context_calls) not in chosen:
+            return ctx
+        return Instance(ctx.graph, ctx.weights, left_starts=ctx.right_starts, right_starts=())
+
+    monkeypatch.setattr(sweeps, "distinguishing_context", left_bait)
+    report = check_distinguishing(trials=trials, max_n=6, seed=5, jobs=1)
+    expected = []
+    for i in sorted(chosen):
+        rng = random.Random(5 + i)
+        inst = random_pt_instance(rng.randint(3, 6), rng)
+        ctx = real_context(inst)
+        ctx = Instance(ctx.graph, ctx.weights, left_starts=ctx.right_starts, right_starts=())
+        expected.append(serialize_instance(inst) + "+\n" + serialize_instance(ctx))
+    assert report.checked == trials
+    assert [v.instance_text for v in report.violations] == expected
+
+
 def test_jobs_do_not_change_results():
     sweeps_and_args = [
         (check_reduction_sweep, 3, dict(max_n=4)),

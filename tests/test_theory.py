@@ -7,27 +7,29 @@ import pytest
 from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.engine import Player, initial_position, legal_moves
 from pirates_treasure.errors import BudgetExceededError, ValidationError
-from pirates_treasure.fixtures import _three_path, fig_add_b, fig_ex, fig_half, mirrored_half
-from pirates_treasure.model import Graph, Instance
-from pirates_treasure.solver import classify, final_scores, left_wins_moving_first
+from pirates_treasure.fixtures import fig_add_b, fig_ex, fig_half
+from pirates_treasure.model import Graph, GridSpec, grid_graph
+from pirates_treasure.solver import (
+    DEFAULT_NODE_BUDGET,
+    Search,
+    classify,
+    final_scores,
+    left_wins_moving_first,
+)
 from pirates_treasure.theory import (
-    check_grid_reduction,
-    check_reduction,
     connected_labeled_graphs,
-    distinguish,
     distinguishing_context,
     enumerate_pt_negx,
     enumerate_ptx,
-    euler_planar_bound,
     hampath_by_permutations,
     hampath_oracle,
-    random_connected_graph,
     random_pt_instance,
     random_ptx_instance,
     reduce_from_hampath,
     uniform_instance,
 )
-from pirates_treasure.theory.reduction import gadget_bits
+from pirates_treasure.theory.families import graph_from_bits, random_connected_adjacency
+from pirates_treasure.theory.reduction import gadget_bits, hampath_from
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -86,7 +88,7 @@ def test_uniform_instance_layout():
 def test_random_connected_graph_is_connected():
     for seed in range(30):
         rng = random.Random(seed)
-        g = random_connected_graph(rng.randint(1, 10), rng)
+        g = graph_from_bits(random_connected_adjacency(rng.randint(1, 10), rng))
         assert g.is_connected()
 
 
@@ -107,7 +109,8 @@ def test_random_connected_graph_matches_the_set_based_draw():
         ours, reference = random.Random(seed), random.Random(seed)
         n = ours.randint(1, 10)
         reference.randint(1, 10)
-        assert random_connected_graph(n, ours).edges == _set_based_draw(n, reference)
+        drawn = graph_from_bits(random_connected_adjacency(n, ours))
+        assert drawn.edges == _set_based_draw(n, reference)
         # the same numbers were drawn, so later draws stay in step
         assert ours.random() == reference.random()
 
@@ -170,7 +173,6 @@ def test_reduction_verdict_tracks_path_existence():
     for start, has_path in [(0, True), (1, False), (2, False), (3, True)]:
         assert hampath_oracle(p4, start) is has_path
         assert left_wins_moving_first(reduce_from_hampath(p4, start)) is has_path
-        assert check_reduction(p4, start)
 
 
 def test_path_oracles_agree_exhaustively():
@@ -213,26 +215,27 @@ def test_reduction_rejects_bad_berth():
         reduce_from_hampath(Graph.from_edges(2, [(0, 1)]), 2)
 
 
-def test_euler_planar_bound():
-    k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    assert not euler_planar_bound(k5)
-    assert euler_planar_bound(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert euler_planar_bound(Graph.from_edges(2, [(0, 1)]))
-
-
 def test_grid_reductions():
     # 2x2 has corner-to-corner tours, 1x4 only works from the ends,
     # 3x3 works from the center but not from an edge midpoint
-    assert check_grid_reduction(2, 2, (1, 1))
-    assert check_grid_reduction(1, 4, (1, 1))
-    assert check_grid_reduction(1, 4, (1, 2))
-    assert check_grid_reduction(3, 3, (2, 2))
-    assert check_grid_reduction(3, 3, (2, 1))
+    cases = [
+        (2, 2, (1, 1), True),
+        (1, 4, (1, 1), True),
+        (1, 4, (1, 2), False),
+        (3, 3, (2, 2), True),
+        (3, 3, (2, 1), False),
+    ]
+    for cols, rows, cell, has_path in cases:
+        adj = grid_graph(cols, rows).adjacency_bits
+        s = GridSpec(cols, rows).vertex_id(*cell)
+        board, wt, root = gadget_bits(adj, s)
+        left_wins = Search.from_bits(board, wt, DEFAULT_NODE_BUDGET).value(*root, 0, 1) >= 1
+        assert left_wins is hampath_from(adj, s) is has_path
+        # grafting a path onto a planar graph keeps it planar: at most 3n - 6 edges
+        assert sum(b.bit_count() for b in board) // 2 <= 3 * len(board) - 6
 
 
 def test_grid_path_facts():
-    from pirates_treasure.model import grid_graph
-
     assert hampath_oracle(grid_graph(1, 4), 0)
     assert not hampath_oracle(grid_graph(1, 4), 1)
     center = 4
@@ -262,18 +265,10 @@ def test_context_flips_left_first_sign():
     assert summed == (-2, -3)
 
 
-def test_distinguish_finds_a_separating_context():
-    pool = [_three_path(), fig_add_b()]
-    found = distinguish(fig_half(), mirrored_half(), pool)
-    assert found is pool[0]
-
-
-def test_distinguish_returns_none_when_pool_cannot_separate():
+def test_context_puts_board_and_empty_game_in_one_class():
     # the overweight context drags both the board and the empty game into
     # the same class, even though the Left-first scores differ in sign
-    empty = Instance(Graph(0, frozenset()), {}, (), ())
     ctx = distinguishing_context(fig_half())
-    assert distinguish(fig_half(), empty, [ctx]) is None
     both = solve_sum(sum_position([fig_half(), ctx], L)).final_scores
     alone = final_scores(ctx)
     assert classify(both) is classify(alone)
