@@ -14,6 +14,7 @@ textbook recursion on trees.  The test suite holds them equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable
 
 from .engine import (
@@ -62,22 +63,16 @@ def render_tree(t: GameTree) -> str:
     Leaves render as their bare score, empty option sets as ``.``; options
     are comma separated and ordered by (score, text) for stable output.
     """
-    memo: dict[GameTree, str] = {}
 
+    @cache
     def render(node: GameTree) -> str:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
         if node.is_leaf:
-            out = str(node.score)
-        else:
-            out = "{%s|%d|%s}" % (
-                _render_options(node.left_options, render),
-                node.score,
-                _render_options(node.right_options, render),
-            )
-        memo[node] = out
-        return out
+            return str(node.score)
+        return "{%s|%d|%s}" % (
+            _render_options(node.left_options, render),
+            node.score,
+            _render_options(node.right_options, render),
+        )
 
     return render(t)
 
@@ -128,19 +123,14 @@ def extract_tree(pos: Position, budget: int = DEFAULT_EXPANSION_BUDGET) -> GameT
 
 def negate_tree(t: GameTree) -> GameTree:
     """Mirror the game: scores flip sign and the players swap option sets."""
-    memo: dict[GameTree, GameTree] = {}
 
+    @cache
     def neg(node: GameTree) -> GameTree:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        out = GameTree(
+        return GameTree(
             -node.score,
             frozenset(neg(o) for o in node.right_options),
             frozenset(neg(o) for o in node.left_options),
         )
-        memo[node] = out
-        return out
 
     return neg(t)
 
@@ -163,19 +153,14 @@ def negate_instance(inst: Instance) -> Instance:
 
 def shift_tree(t: GameTree, delta: int) -> GameTree:
     """Add ``delta`` to every score in the tree (a banked-points transfer)."""
-    memo: dict[GameTree, GameTree] = {}
 
+    @cache
     def shift(node: GameTree) -> GameTree:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        out = GameTree(
+        return GameTree(
             node.score + delta,
             frozenset(shift(o) for o in node.left_options),
             frozenset(shift(o) for o in node.right_options),
         )
-        memo[node] = out
-        return out
 
     return shift(t)
 
@@ -186,14 +171,11 @@ def sum_trees(g: GameTree, h: GameTree, budget: int = DEFAULT_EXPANSION_BUDGET) 
     A player moves in exactly one summand, scores add, and the game ends
     for a player only when they are stuck in both.
     """
-    memo: dict[tuple[GameTree, GameTree], GameTree] = {}
     counter = [0]
 
+    @cache
     def add(a: GameTree, b: GameTree) -> GameTree:
-        key = (a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        # runs once per distinct pair, so the counter counts distinct pairs
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceededError(budget, "tree sum")
@@ -203,9 +185,7 @@ def sum_trees(g: GameTree, h: GameTree, budget: int = DEFAULT_EXPANSION_BUDGET) 
         right = frozenset(add(ar, b) for ar in a.right_options) | frozenset(
             add(a, br) for br in b.right_options
         )
-        node = GameTree(a.score + b.score, left, right)
-        memo[key] = node
-        return node
+        return GameTree(a.score + b.score, left, right)
 
     return add(g, h)
 
@@ -216,12 +196,9 @@ def tree_final_scores(t: GameTree) -> FinalScores:
     With Left to move, a node with no Left options is final; otherwise
     Left picks the option maximizing the Right-to-move result, and dually.
     """
-    memo: dict[GameTree, FinalScores] = {}
 
+    @cache
     def scores(node: GameTree) -> FinalScores:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
         if node.left_options:
             s_left = max(scores(o).right_first for o in node.left_options)
         else:
@@ -230,9 +207,7 @@ def tree_final_scores(t: GameTree) -> FinalScores:
             s_right = min(scores(o).left_first for o in node.right_options)
         else:
             s_right = node.score
-        out = FinalScores(s_left, s_right)
-        memo[node] = out
-        return out
+        return FinalScores(s_left, s_right)
 
     return scores(t)
 

@@ -14,6 +14,7 @@ Text format (one directive per line, ``#`` starts a comment)::
     score <int>        # optional running score, omitted when zero
 
 Vertex ids are 0-based and every vertex needs exactly one ``v`` line.
+A file may declare at most :data:`MAX_VERTICES` vertices.
 ``serialize_instance`` emits a canonical form (vertex lines ascending, edges
 sorted with the smaller endpoint first) so parse/serialize round-trips are
 byte-stable.
@@ -28,6 +29,10 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
+
+#: Most vertices a board or graph file may declare; ``pirates reduce``
+#: builds about twice as many.
+MAX_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -261,6 +266,8 @@ def _parse_lines(text: str, require_roles: bool):
         missing = (v for v in range(vertex_count) if v not in roles)
         count = vertex_count - len(roles)
         raise ValidationError(f"no 'v' line for vertices {_id_list(missing, count)}")
+    if vertex_count > MAX_VERTICES:
+        raise ValidationError(f"{vertex_count} vertices, more than the {MAX_VERTICES} allowed")
     return vertex_count, weights, ships, edges, score
 
 

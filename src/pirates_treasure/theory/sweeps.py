@@ -1,33 +1,32 @@
 """Bulk verification sweeps over instance families.
 
-Each sweep checks one structural claim on every item of a list and
-returns a :class:`SweepReport` with every counterexample found.  One
-runner, :func:`_sweep`, applies a module-level check to the items, in
-this process or over one process pool.  Every check returns one shape:
-the number of checks it made on its item and the list of its violations.
-The runner adds up the counts, keeps the violations in item order and
-builds the report, so splitting the work never changes the result, only
-the wall time.  Sweeps are deterministic for fixed parameters.
+Each sweep checks one structural claim on every board of a family and
+returns a :class:`SweepReport` with every counterexample found.  All
+sweeps share one pipeline.  An item is a block ``(boards, args)``: a
+module-level board source and its arguments, such as a range of edge
+masks of one size or a range of seeds.  One worker, :func:`_block`,
+expands the block with ``boards(*args)`` and calls the sweep's per-board
+check ``check(*board, *extra)``, which returns a :class:`Violation` or
+``None``.  It counts the boards and keeps the violations in board order;
+:func:`_sweep` adds up the blocks in item order, in this process or over
+one process pool, so splitting the work never changes the result, only
+the wall time.  No board crosses the pool, so even n = 7 sends only a few
+thousand small tuples.  Sweeps are deterministic for fixed parameters.
 
-The reduction sweep's items are blocks of edge masks: each worker
-enumerates the connected graphs of its block and checks every berth of
-each on raw bitmasks, with no board objects, so even n = 7 sends only a
-few thousand small tuples to the pool.
-
-The uniform-value claims (no P positions when every pile is worth x > 0,
-no N positions at -x, a board plus its mirror ties) share one driver,
-:func:`_uniform_sweep`, built the same way: the exhaustive boards come
-first, in blocks of edge masks, then the seeded draws, in blocks of
-seeds, each board enumerated or drawn as bitmasks inside the worker.  A
-check asks only its own question: it packs the two roots, each three
-vertex masks (mover's fleet, other fleet, plundered; a board beside its
-mirror holds two ships a side), and runs zero-window searches that stop
-at the first root that rules the class out, and it builds an
-:class:`~pirates_treasure.model.Instance` and asks
-:func:`~pirates_treasure.solver.final_scores` for the class only to
-report a violation.  The table check asks ``final_scores`` for the two
-scores of the boards side by side, never for a full report; the
-distinguishing check reads only Left-first scores and searches only those.
+The reduction and uniform-value checks work on raw bitmasks.  The
+reduction check grafts the path gadget onto a graph's adjacency masks
+and sets one zero-window search against the path oracle.  A uniform
+check (no P positions when every pile is worth x > 0, no N positions at
+-x, a board plus its mirror ties) asks only its own question: it packs
+the two roots, each three vertex masks (mover's fleet, other fleet,
+plundered; a board beside its mirror holds two ships a side), and runs
+zero-window searches that stop at the first root that rules the class
+out.  Only a violating board becomes an
+:class:`~pirates_treasure.model.Instance` whose class
+:func:`~pirates_treasure.solver.final_scores` reports.  The table check
+asks ``final_scores`` for the two scores of the boards side by side,
+never for a full report; the distinguishing check reads only Left-first
+scores and searches only those.
 """
 
 from __future__ import annotations
@@ -99,24 +98,37 @@ class SweepReport:
 
 
 def _sweep(
-    name: str, check: Callable, items: Sequence, jobs: int, params: dict
+    name: str, check: Callable, extra: tuple, blocks: Sequence, jobs: int, params: dict
 ) -> SweepReport:
-    """Apply ``check`` to every item, optionally across one process pool.
+    """Check every board of every block, optionally across one process pool.
 
-    ``check`` returns the number of checks it made and the list of its
-    violations.  Results come back in item order whatever the job count,
-    so reports are identical for any ``jobs``, which must be at least 1.
+    Results come back in block order whatever the job count, so reports
+    are identical for any ``jobs``, which must be at least 1.
     """
     _require_at_least("jobs", jobs, 1)
+    items = [(check, extra, boards, args) for boards, args in blocks]
     if jobs == 1:
-        results = [check(item) for item in items]
+        results = [_block(item) for item in items]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = max(1, len(items) // (jobs * 8))
-            results = list(pool.map(check, items, chunksize=chunksize))
+            results = list(pool.map(_block, items))
     checked = sum(count for count, _ in results)
     violations = [v for _, found in results for v in found]
     return SweepReport(name, checked, violations, params)
+
+
+def _block(item) -> tuple[int, list[Violation]]:
+    """Expand one block with ``boards(*args)`` and check each board: the
+    number of boards and their violations, in board order."""
+    check, extra, boards, args = item
+    checked = 0
+    violations = []
+    for board in boards(*args):
+        checked += 1
+        found = check(*board, *extra)
+        if found is not None:
+            violations.append(found)
+    return checked, violations
 
 
 def _require_positive(x: int) -> None:
@@ -148,24 +160,23 @@ def _mask_count(n: int) -> int:
 _REDUCTION_BLOCK = 1024
 
 
-def _reduction_block(item) -> tuple[int, list[Violation]]:
-    """Every berth of every connected n-vertex graph whose edge mask lies in
-    ``masks``: the gadget's Left-first verdict against the path oracle."""
-    n, masks, budget = item
-    checked = 0
-    violations = []
+def _berths(n: int, masks: range) -> Iterator[tuple[list[int], int]]:
+    """Every connected n-vertex graph whose edge mask lies in ``masks``,
+    once per berth."""
     for adj in connected_adjacencies(n, masks):
-        for left_start in range(n):
-            board, wt, root = gadget_bits(adj, left_start)
-            solver_says = Search.from_bits(board, wt, budget).value(*root, 0, 1) >= 1
-            oracle_says = hampath_from(adj, left_start)
-            checked += 1
-            if solver_says != oracle_says:
-                text = serialize_graph(graph_from_bits(adj)) + f"left_start {left_start}\n"
-                violations.append(
-                    Violation(text, f"left wins = {oracle_says}", f"left wins = {solver_says}")
-                )
-    return checked, violations
+        for berth in range(n):
+            yield adj, berth
+
+
+def _gadget_check(adj, berth, budget) -> Violation | None:
+    """The gadget's Left-first verdict against the path oracle."""
+    board, wt, root = gadget_bits(adj, berth)
+    solver_says = Search.from_bits(board, wt, budget).value(*root, 0, 1) >= 1
+    oracle_says = hampath_from(adj, berth)
+    if solver_says == oracle_says:
+        return None
+    text = serialize_graph(graph_from_bits(adj)) + f"left_start {berth}\n"
+    return Violation(text, f"left wins = {oracle_says}", f"left wins = {solver_says}")
 
 
 def check_reduction_sweep(
@@ -181,21 +192,27 @@ def check_reduction_sweep(
         raise ValidationError(
             f"reduction sweep supports 1 <= max_n <= {MAX_ENUMERATION_N}, got {max_n}"
         )
-    items = [
-        (n, masks, budget)
+    blocks = [
+        (_berths, (n, masks))
         for n in range(1, max_n + 1)
         for masks in _blocks(0, _mask_count(n), _REDUCTION_BLOCK)
     ]
-    return _sweep("reduction", _reduction_block, items, jobs, {"max_n": max_n})
+    return _sweep("reduction", _gadget_check, (budget,), blocks, jobs, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------
 # Uniform-value families: one driver, one check per board
 
 
-#: Edge masks or seeds per uniform item: small enough that the default
-#: exhaustive sizes (n <= 5, 1,024 masks at 5) still spread over two workers.
+#: Edge masks or seeds per item of every sweep but the reduction: small
+#: enough that the default exhaustive sizes (n <= 5, 1,024 masks at 5)
+#: still spread over two workers.
 _UNIFORM_BLOCK = 256
+
+
+def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
+    """Blocks of ``trials`` consecutive seeds from ``seed``, for ``boards(seeds, *args)``."""
+    return [(boards, (seeds, *args)) for seeds in _blocks(seed, seed + trials, _UNIFORM_BLOCK)]
 
 
 def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
@@ -206,29 +223,12 @@ def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
         yield random_uniform_bits(rng.randint(2, max_n), rng)
 
 
-def _uniform_block(item) -> tuple[int, list[Violation]]:
-    """Check every uniform board of one block, enumerated or drawn here."""
-    board_check, value, budget, boards, args = item
-    checked = 0
-    violations = []
-    for adj, left, right in boards(*args):
-        checked += 1
-        found = board_check(adj, left, right, value, budget)
-        if found is not None:
-            violations.append(found)
-    return checked, violations
-
-
 def _uniform_sweep(
     name, board_check, x, sign, max_exhaustive_n, random_trials, random_max_n,
     seed, jobs, budget,
 ) -> SweepReport:
     """Every board of the family worth ``sign * x`` up to ``max_exhaustive_n``
-    vertices, then ``random_trials`` seeded draws, through one runner.
-
-    An item is a block of edge masks of one size or of consecutive seeds;
-    its worker enumerates or draws the boards, so no board crosses the pool.
-    """
+    vertices, then ``random_trials`` seeded draws, through one runner."""
     _require_positive(x)
     _require_at_least("random_trials", random_trials, 0)
     _require_at_least("random_max_n", random_max_n, 2)
@@ -247,16 +247,12 @@ def _uniform_sweep(
         for n in range(2, max_exhaustive_n + 1)
         for masks in _blocks(0, _mask_count(n), _UNIFORM_BLOCK)
     ]
-    blocks += [
-        (_drawn, (seeds, random_max_n))
-        for seeds in _blocks(seed, seed + random_trials, _UNIFORM_BLOCK)
-    ]
-    items = [(board_check, sign * x, budget, boards, args) for boards, args in blocks]
+    blocks += _seeded(_drawn, seed, random_trials, random_max_n)
     params = dict(
         max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
     )
-    report = _sweep(name, _uniform_block, items, jobs, params)
+    report = _sweep(name, board_check, (sign * x, budget), blocks, jobs, params)
     # each seed is one board, so the rest of the count is the exhaustive part
     params["exhaustive"] = report.checked - random_trials
     return report
@@ -397,23 +393,27 @@ def outcome_table_cell(a: OutcomeClass, b: OutcomeClass) -> frozenset[OutcomeCla
     return OUTCOME_TABLE.get(tuple(sorted((a.value, b.value))))
 
 
-def _table_item(item) -> tuple[int, list[Violation]]:
-    """One seeded pair of uniform boards: the sum's class against its cell."""
-    seed, max_component_n, x, budget = item
-    rng = random.Random(seed)
-    a = random_ptx_instance(rng.randint(2, max_component_n), x, rng)
-    b = random_ptx_instance(rng.randint(2, max_component_n), x, rng)
+def _pairs(seeds: range, max_n: int, x: int) -> Iterator[tuple[Instance, Instance]]:
+    """Two uniform boards per seed, both drawn from ``Random(seed)``."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = random_ptx_instance(rng.randint(2, max_n), x, rng)
+        yield a, random_ptx_instance(rng.randint(2, max_n), x, rng)
+
+
+def _table_check(a: Instance, b: Instance, budget: int) -> Violation | None:
+    """A pair of uniform boards: the sum's class against its cell."""
     class_a = classify(final_scores(a, budget=budget))
     class_b = classify(final_scores(b, budget=budget))
     text = serialize_instance(a) + "+\n" + serialize_instance(b)
     cell = outcome_table_cell(class_a, class_b)
     if cell is None:
-        return 1, [Violation(text, "summands on the table", f"{class_a} + {class_b}")]
+        return Violation(text, "summands on the table", f"{class_a} + {class_b}")
     got = classify(final_scores(a, b, budget=budget))
-    if got not in cell:
-        allowed = "/".join(sorted(c.value for c in cell))
-        return 1, [Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")]
-    return 1, []
+    if got in cell:
+        return None
+    allowed = "/".join(sorted(c.value for c in cell))
+    return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
 
 
 def check_outcome_table(
@@ -428,9 +428,9 @@ def check_outcome_table(
     _require_positive(x)
     _require_at_least("trials", trials, 1)
     _require_at_least("max_component_n", max_component_n, 2)
-    items = [(seed + i, max_component_n, x, budget) for i in range(trials)]
+    blocks = _seeded(_pairs, seed, trials, max_component_n, x)
     params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
-    return _sweep("table", _table_item, items, jobs, params)
+    return _sweep("table", _table_check, (budget,), blocks, jobs, params)
 
 
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
@@ -478,25 +478,24 @@ def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
     return Search(boards, budget).final_score(roots, Player.LEFT)
 
 
-def _distinguishing_item(item) -> tuple[int, list[Violation]]:
-    """One seeded board: its Left-first sign alone and beside its context."""
-    seed, max_n, budget = item
-    rng = random.Random(seed)
-    inst = random_pt_instance(rng.randint(3, max_n), rng)
+def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
+    """One board per seed, drawn from ``Random(seed)``."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield (random_pt_instance(rng.randint(3, max_n), rng),)
+
+
+def _distinguishing_check(inst: Instance, budget: int) -> Violation | None:
+    """A board's Left-first sign alone and beside its context."""
     context = distinguishing_context(inst)
     alone = _left_first_score([context], budget)
     summed = _left_first_score([inst, context], budget)
     sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
     if sign(alone) != sign(summed):
-        return 1, []
+        return None
     text = serialize_instance(inst) + "+\n" + serialize_instance(context)
-    return 1, [
-        Violation(
-            text,
-            "Left-first result changes sign next to the context",
-            f"alone = {alone}, summed = {summed}",
-        )
-    ]
+    expected = "Left-first result changes sign next to the context"
+    return Violation(text, expected, f"alone = {alone}, summed = {summed}")
 
 
 def check_distinguishing(
@@ -510,6 +509,6 @@ def check_distinguishing(
     Left ship from the empty game, Left moving first."""
     _require_at_least("trials", trials, 1)
     _require_at_least("max_n", max_n, 3)
-    items = [(seed + i, max_n, budget) for i in range(trials)]
+    blocks = _seeded(_drawn_pt, seed, trials, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}
-    return _sweep("distinguishing", _distinguishing_item, items, jobs, params)
+    return _sweep("distinguishing", _distinguishing_check, (budget,), blocks, jobs, params)

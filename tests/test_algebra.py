@@ -241,6 +241,23 @@ def test_sum_trees_budget():
         sum_trees(a, b, budget=5)
 
 
+def test_sum_trees_budget_counts_distinct_pairs():
+    # a pair of summand positions reached along several move orders is
+    # built once, so the budget bounds distinct pairs, not calls
+    a, b = _tree(fig_ex), _tree(fig_half)
+    pairs, todo = set(), [(a, b)]
+    while todo:
+        pair = todo.pop()
+        if pair not in pairs:
+            pairs.add(pair)
+            g, h = pair
+            todo += [(o, h) for o in g.left_options | g.right_options]
+            todo += [(g, o) for o in h.left_options | h.right_options]
+    assert sum_trees(a, b, budget=len(pairs)) == sum_trees(a, b)
+    with pytest.raises(BudgetExceededError):
+        sum_trees(a, b, budget=len(pairs) - 1)
+
+
 def test_render_orders_options_by_score_then_text():
     t = GameTree(
         0,

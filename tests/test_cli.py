@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -102,6 +103,21 @@ def test_reduce_and_oracle(capsys, tmp_path):
     path_file.write_text("vertices 4\ne 0 1\ne 1 2\ne 2 3\n")
     code, out, _ = run(capsys, "oracle", str(path_file), "--start", "1")
     assert (code, out.strip()) == (0, "false")
+
+
+def test_reduce_refuses_a_graph_above_the_vertex_cap_at_once(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no board may be built")
+
+    # without the cap the gadget would take many GB: fail at once instead
+    monkeypatch.setattr(cli, "reduce_from_hampath", refuse)
+    graph_file = tmp_path / "huge.graph"
+    graph_file.write_text("vertices 1000000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", str(graph_file), "--at", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 1000000000 vertices, more than the 100000 allowed\n"
 
 
 def test_verify_passes(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from pirates_treasure.errors import ParseError, ValidationError
 from pirates_treasure.model import (
+    MAX_VERTICES,
     Graph,
     GridSpec,
     Instance,
@@ -105,6 +106,14 @@ def test_parse_graph_ignores_roles():
     assert g.vertex_count == 3
     assert g.edges == frozenset({(0, 1), (1, 2)})
     assert serialize_graph(g) == "vertices 3\ne 0 1\ne 1 2\n"
+
+
+def test_vertex_count_is_capped_at_parse_time():
+    assert MAX_VERTICES == 100_000
+    assert parse_graph("vertices 100000").vertex_count == 100_000
+    with pytest.raises(ValidationError) as exc:
+        parse_graph("vertices 100001\ne 0 1\n")
+    assert str(exc.value) == "100001 vertices, more than the 100000 allowed"
 
 
 def test_validate_warns_on_negative_values():

@@ -183,6 +183,51 @@ def test_jobs_do_not_change_results():
         ), serial.name
 
 
+def _report_and_block_count(monkeypatch, sweep, kwargs):
+    """Run ``sweep`` serially; its report and the number of blocks it checked."""
+    real, blocks = sweeps._block, []
+
+    def counted(item):
+        blocks.append(item)
+        return real(item)
+
+    monkeypatch.setattr(sweeps, "_block", counted)
+    report = sweep(jobs=1, **kwargs)
+    monkeypatch.setattr(sweeps, "_block", real)
+    return (report.checked, report.violations, report.params), len(blocks)
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [
+        (check_reduction_sweep, dict(max_n=4)),
+        (check_no_p_positions, dict(max_exhaustive_n=4, random_trials=40, seed=9)),
+        (check_no_n_positions, dict(max_exhaustive_n=3, random_trials=40, seed=10)),
+        (check_self_sum_tie, dict(max_exhaustive_n=3, random_trials=30, seed=11)),
+        (check_outcome_table, dict(trials=30, max_component_n=4, seed=12)),
+        (check_distinguishing, dict(trials=30, max_n=6, seed=13)),
+    ],
+)
+def test_block_sizes_never_change_a_report(monkeypatch, sweep, kwargs):
+    default, default_blocks = _report_and_block_count(monkeypatch, sweep, kwargs)
+    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
+    monkeypatch.setattr(sweeps, "_REDUCTION_BLOCK", 3)
+    small, small_blocks = _report_and_block_count(monkeypatch, sweep, kwargs)
+    assert small == default
+    assert small_blocks > default_blocks
+
+
+def test_block_edges_keep_the_violation_order(monkeypatch):
+    # about a third of the boards fail, spread over many small blocks
+    monkeypatch.setattr(sweeps, "_is_p", lambda search, roots: sum(search.adj) % 3 == 0)
+    kwargs = dict(max_exhaustive_n=4, random_trials=40, random_max_n=6, seed=9, jobs=1)
+    default = check_no_p_positions(**kwargs)
+    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
+    small = check_no_p_positions(**kwargs)
+    assert 0 < len(small.violations) < small.checked == default.checked
+    assert small.violations == default.violations
+
+
 @pytest.mark.parametrize("x", [0, -1])
 @pytest.mark.parametrize(
     "sweep",
@@ -433,8 +478,7 @@ def test_sweeps_reject_jobs_below_one(monkeypatch, sweep, jobs):
     def refuse(*args, **kwargs):
         raise AssertionError("no item may be checked")
 
-    for worker in ("_reduction_block", "_uniform_block", "_table_item", "_distinguishing_item"):
-        monkeypatch.setattr(sweeps, worker, refuse)
+    monkeypatch.setattr(sweeps, "_block", refuse)
     with pytest.raises(ValidationError) as exc:
         sweep(jobs=jobs)
     assert str(exc.value) == f"jobs must be at least 1, got {jobs}"
