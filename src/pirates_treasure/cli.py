@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="bracket form of the full game tree")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
+    p.add_argument("--max-nodes", type=_node_budget, default=1_000_000)
     p.set_defaults(run=_cmd_tree)
 
     p = sub.add_parser("negate", help="mirror a board (swap fleets, negate score)")
@@ -155,10 +155,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-nodes",
-        type=int,
+        type=_node_budget,
         default=DEFAULT_NODE_BUDGET,
         help="search node budget",
     )
+
+
+def _node_budget(text: str) -> int:
+    """A ``--max-nodes`` value: an integer of at least 1, else a usage error."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
 
 
 def _load_instance(path: str) -> Instance:

@@ -30,7 +30,8 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 
-#: Most vertices a board or graph file may declare; ``pirates reduce``
+#: Most vertices a board or graph file may declare, and the most that
+#: :func:`grid_graph` and :func:`random_instance` build; ``pirates reduce``
 #: builds about twice as many.
 MAX_VERTICES = 100_000
 
@@ -266,9 +267,13 @@ def _parse_lines(text: str, require_roles: bool):
         missing = (v for v in range(vertex_count) if v not in roles)
         count = vertex_count - len(roles)
         raise ValidationError(f"no 'v' line for vertices {_id_list(missing, count)}")
+    _check_vertex_cap(vertex_count)
+    return vertex_count, weights, ships, edges, score
+
+
+def _check_vertex_cap(vertex_count: int) -> None:
     if vertex_count > MAX_VERTICES:
         raise ValidationError(f"{vertex_count} vertices, more than the {MAX_VERTICES} allowed")
-    return vertex_count, weights, ships, edges, score
 
 
 def _int_field(parts: list[str], index: int, expected_len: int, line_no: int) -> int:
@@ -329,6 +334,7 @@ def grid_graph(cols: int, rows: int) -> Graph:
     """The cols-by-rows grid graph; cells adjacent iff at distance one."""
     if cols < 1 or rows < 1:
         raise ValidationError("grid dimensions must be positive")
+    _check_vertex_cap(cols * rows)
     edges = []
     for y in range(rows):
         for x in range(cols):
@@ -370,6 +376,9 @@ def random_instance(
 
     Deterministic: the same arguments always produce the same instance.
     """
+    _check_vertex_cap(vertex_count)
+    if not 0 <= edge_probability <= 1:
+        raise ValidationError(f"edge probability must lie in [0, 1], got {edge_probability}")
     if vertex_count < left_ships + right_ships:
         raise ValidationError("more ships than vertices")
     if left_ships < 0 or right_ships < 0:

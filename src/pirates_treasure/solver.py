@@ -10,7 +10,9 @@ masks: the mover's fleet, the other fleet and the plundered vertices.
 Ships never share a vertex, so a fleet mask holds what a sorted tuple
 of ship vertices would.  Table values are the optimal score still to
 come from a state, taken from the mover's side, so transpositions
-reached at different running scores share one entry.
+reached at different running scores share one entry.  A state whose
+mover has exactly one move takes no entry: its value is that move's pile
+minus its child's, and the child holds its own entry.
 
 Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
@@ -181,7 +183,9 @@ class Search:
         moves are tried by pile, highest first, ties in that order.  Over
         ``n`` vertices the table key is one int,
         ``(ships << n | others) << n | visited``, and so is the entry,
-        ``value << 2 | flag``.
+        ``value << 2 | flag``.  A mover with one move searches its child in
+        the shifted window and builds no key: the table holds no entry for
+        a forced state, which is counted against the budget all the same.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -201,6 +205,9 @@ class Search:
                 moves.append((wt[b.bit_length() - 1], rest | b, b))
         if not moves:
             return self.stuck
+        if len(moves) == 1:
+            w, moved, bit = moves[0]
+            return w - self.value(others, moved, visited | bit, w - beta, w - alpha)
         n = self.n
         key = (ships << n | others) << n | visited
         entry = self.memo.get(key)
@@ -220,8 +227,7 @@ class Search:
                 if v < beta:
                     beta = v
         alpha0, beta0 = alpha, beta
-        if len(moves) > 1:
-            moves.sort(key=_pile, reverse=True)
+        moves.sort(key=_pile, reverse=True)
         best = -self.inf
         for w, moved, bit in moves:
             v = w - self.value(others, moved, visited | bit, w - beta, w - alpha)
@@ -308,12 +314,15 @@ def best_moves(
 ) -> tuple[int, frozenset[tuple[int, Move]]]:
     """Final score and optimal (component, move) first moves.
 
-    The root is packed and searched once; the optimal moves are those that
-    keep its value (:func:`_keeping`).  With no move the banked score is
-    final.
+    The root is packed and searched once, in the window ``(1 - inf,
+    inf - 1)``: no value lies beyond it, so a result at either edge is
+    exact.  When every pile is 0 in scoring play that window is empty and
+    the value is 0 unsearched.  The optimal moves are those that keep its
+    value (:func:`_keeping`).  With no move the banked score is final.
     """
     root = _union_state(positions, first)
-    v = search.value(*root, -search.inf, search.inf)
+    m = search.inf - 1
+    v = search.value(*root, -m, m) if m else 0
     banked = search._banked(positions)
     score = banked + v if first is Player.LEFT else banked - v
     return score, frozenset(_keeping(search, positions, first, root, v))

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import os
 import time
+import types
 
 import pytest
 
-from pirates_treasure import cli
+from pirates_treasure import cli, model
 from pirates_treasure.model import parse_instance
 from pirates_treasure.theory import SweepReport, Violation
 
@@ -52,7 +53,7 @@ def test_classify(capsys, fixtures_dir):
 
 
 def test_classify_needs_only_the_two_scores(capsys, fixtures_dir):
-    # the two final scores of fig_ex take 28 nodes, the full solve report 52
+    # the two final scores of fig_ex take 28 nodes, the full solve report 58
     code, out, _ = run(capsys, "classify", "--max-nodes", "40", str(fixtures_dir / "fig_ex.pt"))
     assert code == 0
     assert out.strip() == "L"
@@ -262,6 +263,48 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve"])  # missing file argument
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "F"], ["classify", "F"], ["sum", "F"], ["tree", "F"], ["compare", "F"],
+     ["verify", "table"]],
+    ids=lambda argv: argv[0],
+)
+def test_node_budget_below_one_is_a_usage_error(capsys, fixtures_dir, argv, budget):
+    argv = [str(fixtures_dir / "fig_ex.pt") if a == "F" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--max-nodes", budget])
+    assert exc.value.code == 2
+    assert f"argument --max-nodes: must be at least 1, got {budget}\n" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no loop or draw may run")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["random", "--n", "5", "--p", "2"], "edge probability must lie in [0, 1], got 2.0"),
+        (["random", "--n", "5", "--p", "-0.5"], "edge probability must lie in [0, 1], got -0.5"),
+        (["random", "--n", "100001"], "100001 vertices, more than the 100000 allowed"),
+        (
+            ["grid", "--cols", "20000", "--rows", "20000"],
+            "400000000 vertices, more than the 100000 allowed",
+        ),
+    ],
+    ids=["p-above-1", "p-below-0", "random-above-cap", "grid-above-cap"],
+)
+def test_generate_refuses_what_it_cannot_build_at_once(capsys, monkeypatch, argv, err):
+    # without the checks these would loop over every vertex pair or cell
+    monkeypatch.setattr(model, "range", _refuse, raising=False)
+    monkeypatch.setattr(model, "random", types.SimpleNamespace(Random=_refuse))
+    start = time.perf_counter()
+    code, out, stderr = run(capsys, "generate", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
 def test_game_deeper_than_the_recursion_limit_exits_three(capsys, tmp_path):

@@ -31,6 +31,7 @@ from pirates_treasure.solver import (
     minimax_final_score,
     solve,
 )
+from pirates_treasure.theory.reduction import gadget_bits
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -132,15 +133,71 @@ def test_mixed_weights_admit_second_player_wins():
     assert classify(fs) is OutcomeClass.P
 
 
+def _corridor_boards() -> list[Instance]:
+    """Paths and cycles on 2-7 vertices with fleets of 1-2 and seeded piles
+    in -3..4: most of their states give the mover exactly one move."""
+    rng = random.Random(8000)
+    boards = []
+    for n in range(2, 8):
+        path = [(v, v + 1) for v in range(n - 1)]
+        for edges in (path, path + [(0, n - 1)]) if n > 2 else (path,):
+            for ls, rs in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                if ls + rs > n:
+                    continue
+                berths = rng.sample(range(n), ls + rs)
+                weights = {v: rng.randint(-3, 4) for v in range(n) if v not in berths}
+                boards.append(
+                    Instance(Graph.from_edges(n, edges), weights, berths[:ls], berths[ls:])
+                )
+    return boards
+
+
 def test_alpha_beta_matches_plain_minimax():
+    boards = []
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randint(2, 7)
-        inst = random_instance(n, rng.uniform(0.3, 0.9), (-3, 4), 1, 1, seed=seed)
+        boards.append(random_instance(n, rng.uniform(0.3, 0.9), (-3, 4), 1, 1, seed=seed))
+    for i, inst in enumerate(boards + _corridor_boards()):
         for first in (L, R):
             pos = initial_position(inst, first)
             fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
-            assert fast == minimax_final_score(pos), f"seed {seed}, {first} first"
+            assert fast == minimax_final_score(pos), f"board {i}, {first} first"
+
+
+def test_forced_states_take_no_table_entry():
+    # one ship at each end of a path: every move of both sides is forced, so
+    # the search stores nothing and still scores as plain minimax
+    rng = random.Random(8100)
+    for n in range(2, 13):
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        inst = Instance(path, {v: rng.randint(-3, 4) for v in range(1, n - 1)}, (0,), (n - 1,))
+        for first in (L, R):
+            pos = initial_position(inst, first)
+            search = Search([inst], DEFAULT_NODE_BUDGET)
+            assert search.final_score((pos,), first) == minimax_final_score(pos), f"n {n}"
+            assert search.memo == {}, f"n {n}, {first} first"
+
+
+def test_board_of_zero_piles_is_solved_unsearched():
+    # every value is 0, so the root needs no search and every move keeps it
+    graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    inst = Instance(graph, {1: 0, 3: 0}, (0,), (2,))
+    report = solve(inst)
+    assert report.final_scores == FinalScores(0, 0)
+    assert report.best_first_moves_left == frozenset(legal_moves(initial_position(inst, L)))
+    assert report.best_first_moves_right == frozenset(legal_moves(initial_position(inst, R)))
+    assert report.nodes_expanded == 0
+
+
+def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
+    # Left walks the path while Right walks the grafted one: all forced
+    for n in range(2, 13):
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        board, wt, root = gadget_bits(path.adjacency_bits, 0)
+        search = Search.from_bits(board, wt, DEFAULT_NODE_BUDGET)
+        assert search.value(*root, 0, 1) >= 1, f"n {n}"
+        assert search.memo == {}, f"n {n}"
 
 
 def test_two_ship_fleets_agree_with_minimax():
@@ -196,15 +253,15 @@ def test_left_wins_matches_sign_of_final_score():
 
 def test_at_least_matches_thresholds_of_final_score():
     # each threshold in a fresh table, then all of them through one shared table
-    for seed in range(120):
-        inst = _random_fleet_board(5000 + seed)
+    boards = [_random_fleet_board(5000 + seed) for seed in range(120)] + _corridor_boards()
+    for i, inst in enumerate(boards):
         for stuck in (0, -1, 1):
             for first in (L, R):
                 roots = [initial_position(inst, first)]
                 exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
                 shared = Search([inst], 10**6, stuck=stuck)
                 for t in range(exact - 2, exact + 3):
-                    why = f"seed {seed}, stuck {stuck}, {first} first, target {t}"
+                    why = f"board {i}, stuck {stuck}, {first} first, target {t}"
                     fresh = Search([inst], 10**6, stuck=stuck).at_least(roots, first, t)
                     assert fresh == (exact >= t), why
                     assert shared.at_least(roots, first, t) == (exact >= t), why
@@ -239,9 +296,9 @@ def _assert_report_matches_minimax(inst: Instance, report, why: str) -> None:
 
 
 def test_best_moves_and_variations_match_minimax():
-    for seed in range(150):
-        inst = _random_fleet_board(6000 + seed)
-        _assert_report_matches_minimax(inst, solve(inst), f"seed {seed}")
+    boards = [_random_fleet_board(6000 + seed) for seed in range(150)] + _corridor_boards()
+    for i, inst in enumerate(boards):
+        _assert_report_matches_minimax(inst, solve(inst), f"board {i}")
 
 
 def test_sum_best_moves_match_full_window_values():
