@@ -265,7 +265,7 @@ class SumReport:
 
 def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
     """Scores, class and best first moves for a compound position."""
-    search = Search([c.instance for c in sp.components], budget, what="sum solve")
+    search = Search.of([c.instance for c in sp.components], budget, what="sum solve")
     (sl, best_left), (sr, best_right) = (
         best_moves(search, sp.components, first) for first in (Player.LEFT, Player.RIGHT)
     )

@@ -2,31 +2,32 @@
 
 Every exact answer comes from one searcher, :class:`Search`: negamax
 alpha-beta with a bound-flagged transposition table over packed states.
-It is built from a sequence of boards laid side by side, which is again
-one board: their disjoint union, with the fleets merged.  A single board
-is the one-component case, and a disjunctive sum (:mod:`.algebra`) is
-just a larger, disconnected board.  A packed state is three vertex
-masks: the mover's fleet, the other fleet and the plundered vertices.
-Ships never share a vertex, so a fleet mask holds what a sorted tuple
-of ship vertices would.  Table values are the optimal score still to
-come from a state, taken from the mover's side, so transpositions
-reached at different running scores share one entry.  A state whose
-mover has exactly one move takes no entry: its value is that move's pile
-minus its child's, and the child holds its own entry.
+It is built from one board's neighbor bitmasks and pile values;
+:meth:`Search.of` lays a sequence of boards side by side, which is again
+one board: their disjoint union, with the fleets merged.  A disjunctive
+sum (:mod:`.algebra`) is just a larger, disconnected board.  A packed
+state is three vertex masks: the mover's fleet, the other fleet and the
+plundered vertices.  Ships never share a vertex, so a fleet mask holds
+what a sorted tuple of ship vertices would.  Table values are the
+optimal score still to come from a state, taken from the mover's side,
+so transpositions reached at different running scores share one entry.
+A state whose mover has exactly one move takes no entry: its value is
+that move's pile minus its child's, and the child holds its own entry.
 
 Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
 treasure and give -1 or +1 (:mod:`.theory.conventions`).
 
-:func:`best_moves` finds the optimal first moves for :func:`solve`, sums
-and the normal and misere reports alike, in the mover's frame: the root
-is packed and searched once for the mover's value ``v``, and a first
-move taking pile ``w`` keeps ``v`` exactly when a zero-window search of
-its packed child shows the opponent gets at most ``w - v``.  The
-principal variation takes, at each step, the first move in (ship, target
-vertex) order that passes the same test.  ``minimax_final_score`` is a
-deliberately plain exhaustive recursion kept as a reference
-implementation; the test suite holds the two routes equal.
+:meth:`Search.final_score` is the one place an exact root is searched;
+every threshold question is a zero-window :meth:`Search.value` on a
+packed root.  :func:`best_moves` finds the optimal first moves for
+:func:`solve`, sums and the normal and misere reports alike: a first
+move taking pile ``w`` keeps the mover's value ``v`` exactly when a
+zero-window search of its packed child shows the opponent gets at most
+``w - v``.  The principal variation takes, at each step, the first move
+in (ship, target vertex) order that passes the same test.
+``minimax_final_score`` is a deliberately plain exhaustive recursion kept
+as a reference implementation; the test suite holds the two routes equal.
 """
 
 from __future__ import annotations
@@ -98,50 +99,23 @@ class SolveReport:
 
 
 class Search:
-    """Negamax alpha-beta with a transposition table over boards side by side.
+    """Negamax alpha-beta with a transposition table over one board.
 
-    Component ``i`` keeps its own vertex numbering, shifted up by the
-    vertex counts of the components before it, so a merged fleet mask is
-    the OR of the components' fleet masks, each shifted by its offset.
-
-    A pile counts for whoever takes it, so :meth:`value` scores from the
-    mover's side and one move loop serves both players.  ``stuck`` is what
-    a mover with no move gets: 0 in scoring play, -1 in normal play, +1 in
-    misere play; a nonzero ``stuck`` also makes all treasure worth 0.  The
-    table key packs (mover's fleet, other fleet, plundered) masks into one
-    int without the side to move, so a state and its mirror image (fleets
+    The board is ``adj``, each vertex's neighbor bitmask, and ``wt``, each
+    vertex's pile value (0 on berths).  A pile counts for whoever takes it,
+    so :meth:`value` scores from the mover's side and one move loop serves
+    both players.  ``stuck`` is what a mover with no move gets: 0 in
+    scoring play, -1 in normal play, +1 in misere play.  The table key
+    packs (mover's fleet, other fleet, plundered) masks into one int
+    without the side to move, so a state and its mirror image (fleets
     swapped, the other side to move) share one entry.
     """
 
     __slots__ = ("adj", "wt", "n", "stuck", "inf", "memo", "nodes", "budget", "what")
 
     def __init__(
-        self,
-        instances: Iterable[Instance],
-        budget: int,
-        stuck: int = 0,
-        what: str = "solve",
+        self, adj: list[int], wt: list[int], budget: int, stuck: int = 0, what: str = "solve"
     ):
-        adj: list[int] = []
-        wt: list[int] = []
-        for inst in instances:
-            offset = len(adj)
-            bits = inst.graph.adjacency_bits
-            adj += [b << offset for b in bits] if offset else bits
-            wt += [0] * inst.graph.vertex_count if stuck else inst.pile_values
-        self._bind(adj, wt, budget, stuck, what)
-
-    @classmethod
-    def from_bits(cls, adj: list[int], wt: list[int], budget: int) -> Search:
-        """A search over one board given as per-vertex neighbor bitmasks and
-        pile values (0 on berths); roots are then packed states, three
-        vertex masks (mover's fleet, other fleet, plundered), passed to
-        :meth:`value`."""
-        search = cls.__new__(cls)
-        search._bind(adj, wt, budget, 0, "solve")
-        return search
-
-    def _bind(self, adj: list[int], wt: list[int], budget: int, stuck: int, what: str) -> None:
         self.adj = adj
         self.wt = wt
         self.n = len(adj)
@@ -152,28 +126,37 @@ class Search:
         self.budget = budget
         self.what = what
 
+    @classmethod
+    def of(
+        cls, boards: Iterable[Instance], budget: int, stuck: int = 0, what: str = "solve"
+    ) -> Search:
+        """A search over boards side by side: component ``i`` keeps its own
+        vertex numbering, shifted up by the vertex counts of the components
+        before it.  A nonzero ``stuck`` makes all treasure worth 0."""
+        adj: list[int] = []
+        wt: list[int] = []
+        for inst in boards:
+            offset = len(adj)
+            bits = inst.graph.adjacency_bits
+            adj += [b << offset for b in bits] if offset else bits
+            wt += [0] * inst.graph.vertex_count if stuck else inst.pile_values
+        return cls(adj, wt, budget, stuck, what)
+
     def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
-        """Terminal score under best play from the positions side by side."""
-        return self._banked(positions) + self._root(positions, to_move, -self.inf, self.inf)
+        """Terminal score under best play from the positions side by side.
 
-    def at_least(self, positions: Sequence[Position], to_move: Player, target: int) -> bool:
-        """Does Left force a final score of at least ``target``?
-
-        Searches a zero-width window, which is much cheaper than an exact
-        value when only one threshold matters.
+        The packed root is searched in the mover's window ``(1 - inf,
+        inf - 1)``: no value lies beyond it, so a result at either edge is
+        exact.  When every pile is 0 in scoring play that window is empty
+        and the value is 0 unsearched.
         """
-        t = target - self._banked(positions)
-        return self._root(positions, to_move, t - 1, t) >= t
+        m = self.inf - 1
+        v = self.value(*_union_state(positions, to_move), -m, m) if m else 0
+        banked = self._banked(positions)
+        return banked + v if to_move is Player.LEFT else banked - v
 
     def _banked(self, positions: Sequence[Position]) -> int:
         return 0 if self.stuck else sum(p.score for p in positions)
-
-    def _root(self, positions: Sequence[Position], to_move: Player, alpha: int, beta: int) -> int:
-        """Score still to come for Left, searched in Left's window (alpha, beta)."""
-        root = _union_state(positions, to_move)
-        if to_move is Player.LEFT:
-            return self.value(*root, alpha, beta)
-        return -self.value(*root, -beta, -alpha)
 
     def value(self, ships, others, visited, alpha, beta):
         """Optimal score still to come for the mover, who owns the fleet mask
@@ -280,7 +263,7 @@ def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalS
     one-component case.  Cheaper than :func:`solve` or a sum report when
     only the scores or the class are wanted: no first move is valued.
     """
-    search = Search(boards, budget)
+    search = Search.of(boards, budget)
     return FinalScores._make(
         search.final_score([initial_position(b, first) for b in boards], first)
         for first in (Player.LEFT, Player.RIGHT)
@@ -289,7 +272,7 @@ def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalS
 
 def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
     """Full report: both final scores, best first moves, variations."""
-    search = Search([inst], budget)
+    search = Search.of([inst], budget)
     reports = []
     for first in (Player.LEFT, Player.RIGHT):
         root = initial_position(inst, first)
@@ -312,26 +295,18 @@ def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
 def best_moves(
     search: Search, positions: Sequence[Position], first: Player
 ) -> tuple[int, frozenset[tuple[int, Move]]]:
-    """Final score and optimal (component, move) first moves.
+    """Final score and optimal (component, move) first moves: those that
+    keep it (:func:`_keeping`).  With no move the banked score is final."""
+    score = search.final_score(positions, first)
+    return score, frozenset(_keeping(search, positions, first, score))
 
-    The root is packed and searched once, in the window ``(1 - inf,
-    inf - 1)``: no value lies beyond it, so a result at either edge is
-    exact.  When every pile is 0 in scoring play that window is empty and
-    the value is 0 unsearched.  The optimal moves are those that keep its
-    value (:func:`_keeping`).  With no move the banked score is final.
-    """
-    root = _union_state(positions, first)
-    m = search.inf - 1
-    v = search.value(*root, -m, m) if m else 0
+
+def _keeping(search: Search, positions: Sequence[Position], mover: Player, score: int):
+    """First moves, lazily and in generation order, that keep the final
+    ``score`` of ``positions`` with ``mover`` to move."""
     banked = search._banked(positions)
-    score = banked + v if first is Player.LEFT else banked - v
-    return score, frozenset(_keeping(search, positions, first, root, v))
-
-
-def _keeping(search: Search, positions: Sequence[Position], mover: Player, root, v: int):
-    """First moves, lazily and in generation order, that keep the value ``v``
-    still to come for the mover from ``root``, the packed ``positions``."""
-    for move, w, child in _children(search, positions, mover, root):
+    v = score - banked if mover is Player.LEFT else banked - score
+    for move, w, child in _children(search, positions, mover, _union_state(positions, mover)):
         t = w - v
         # a state is worth at most inf - 1 to its mover: such a test passes unsearched
         if t >= search.inf - 1 or search.value(*child, t, t + 1) <= t:
@@ -358,9 +333,7 @@ def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Mov
     step the first move in (ship, target vertex) order that keeps it."""
     line = []
     while True:
-        mover = pos.to_move
-        v = score - pos.score if mover is Player.LEFT else pos.score - score
-        kept = next(_keeping(search, (pos,), mover, _union_state((pos,), mover), v), None)
+        kept = next(_keeping(search, (pos,), pos.to_move, score), None)
         if kept is None:
             return tuple(line)
         line.append(kept[1])
@@ -369,8 +342,9 @@ def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Mov
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Decision form of the solver: does Left force a positive final score?"""
-    root = initial_position(inst, Player.LEFT)
-    return Search([inst], budget).at_least((root,), Player.LEFT, 1)
+    t = 1 - inst.initial_score
+    root = _union_state((initial_position(inst, Player.LEFT),), Player.LEFT)
+    return Search.of([inst], budget).value(*root, t - 1, t) >= t
 
 
 def greedy_score(

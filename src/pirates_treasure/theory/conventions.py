@@ -14,7 +14,8 @@ its sign names the winner.  One win/loss search per convention gives both
 answers: ``solver.best_moves`` returns that score with the moves that keep
 the mover's value, which are the winning moves in a won game and every
 move in a lost one.  :func:`normal_outcome` and :func:`misere_outcome`
-ask the winner alone, by a cheaper zero-window test.
+ask the winner alone: the sign of ``Search.final_score``, whose window
+``(-1, 1)`` in a ±1 game always returns a bound of the right sign.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..solver import (
 
 
 def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
-    return Search(
+    return Search.of(
         [c.instance for c in sp.components],
         budget,
         stuck=1 if misere else -1,
@@ -42,8 +43,8 @@ def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
 
 
 def _winner(sp: SumPosition, misere: bool, budget: int) -> Player:
-    search = _search(sp, misere, budget)
-    return Player.LEFT if search.at_least(sp.components, sp.to_move, 1) else Player.RIGHT
+    score = _search(sp, misere, budget).final_score(sp.components, sp.to_move)
+    return Player.LEFT if score > 0 else Player.RIGHT
 
 
 def normal_outcome(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> Player:

@@ -44,7 +44,7 @@ def gadget_bits(
 ) -> tuple[list[int], list[int], tuple[int, int, int]]:
     """The board of :func:`reduce_from_hampath`, straight from the graph's
     neighbor bitmasks: its adjacency, its pile values (0 on the berths) and
-    its packed root with Left to move, ready for :meth:`Search.from_bits`.
+    its packed root with Left to move, ready for :class:`Search`.
     The root is three vertex masks: Left's fleet, Right's fleet and the
     plundered vertices."""
     n = len(adj)
@@ -72,10 +72,10 @@ def hampath_oracle(g: Graph, start: int | None = None) -> bool:
     vertices; larger graphs raise :class:`BudgetExceededError`.
     """
     n = g.vertex_count
-    if n > 12:
-        raise BudgetExceededError(12, "path search")
     if start is not None and not 0 <= start < n:
         raise ValidationError(f"start {start} out of range")
+    if n > 12:
+        raise BudgetExceededError(12, "path search")
     if n < 2 or not g.is_connected():
         return False
     adj = g.adjacency_bits
@@ -108,6 +108,8 @@ def hampath_by_permutations(g: Graph, start: int | None = None) -> bool:
     Exists to cross-check :func:`hampath_oracle`; only sensible for n <= 8.
     """
     n = g.vertex_count
+    if start is not None and not 0 <= start < n:
+        raise ValidationError(f"start {start} out of range")
     if n > 8:
         raise BudgetExceededError(8, "permutation scan")
     if n < 2:

@@ -171,7 +171,7 @@ def _berths(n: int, masks: range) -> Iterator[tuple[list[int], int]]:
 def _gadget_check(adj, berth, budget) -> Violation | None:
     """The gadget's Left-first verdict against the path oracle."""
     board, wt, root = gadget_bits(adj, berth)
-    solver_says = Search.from_bits(board, wt, budget).value(*root, 0, 1) >= 1
+    solver_says = Search(board, wt, budget).value(*root, 0, 1) >= 1
     oracle_says = hampath_from(adj, berth)
     if solver_says == oracle_says:
         return None
@@ -290,7 +290,7 @@ def _class_is_not(
 ) -> Violation | None:
     lefts, rights = 1 << left, 1 << right
     berths = lefts | rights
-    search = Search.from_bits(adj, _piles(len(adj), left, right, value), budget)
+    search = Search(adj, _piles(len(adj), left, right, value), budget)
     if not has_class(search, ((lefts, rights, berths), (rights, lefts, berths))):
         return None
     inst = uniform_instance(graph_from_bits(adj), left, right, value)
@@ -304,7 +304,7 @@ def _ties_with_mirror(adj, left, right, value, budget) -> Violation | None:
     n = len(adj)
     wt = _piles(n, left, right, value)
     berths = (1 << left | 1 << right) * ((1 << n) + 1)
-    search = Search.from_bits(adj + [b << n for b in adj], wt + wt, budget)
+    search = Search(adj + [b << n for b in adj], wt + wt, budget)
     lefts, rights = 1 << left | 1 << right + n, 1 << right | 1 << left + n
     if _is_tie(search, ((lefts, rights, berths), (rights, lefts, berths))):
         return None
@@ -475,7 +475,7 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
     """Final score of the boards side by side with Left first, searched alone."""
     roots = [initial_position(b, Player.LEFT) for b in boards]
-    return Search(boards, budget).final_score(roots, Player.LEFT)
+    return Search.of(boards, budget).final_score(roots, Player.LEFT)
 
 
 def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:

@@ -174,7 +174,7 @@ def test_packed_children_follow_sum_move_generation():
             if not moves:
                 break
             sp = sum_apply(sp, rng.choice(moves))
-        search = Search(boards, 10**6)
+        search = Search.of(boards, 10**6)
         mover = sp.to_move
         root = _union_state(sp.components, mover)
         children = list(_children(search, sp.components, mover, root))

@@ -247,6 +247,27 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "F"], ["classify", "F"], ["sum", "F"], ["tree", "F"], ["negate", "F"],
+     ["compare", "F"], ["reduce", "F", "--at", "0"], ["oracle", "F"]],
+    ids=lambda argv: argv[0],
+)
+def test_undecodable_file_exits_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.pt"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *[str(bad) if a == "F" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_start_off_a_large_graph_exits_two(capsys, tmp_path):
+    path_file = tmp_path / "p13.graph"
+    path_file.write_text("vertices 13\n" + "".join(f"e {v} {v + 1}\n" for v in range(12)))
+    code, out, err = run(capsys, "oracle", str(path_file), "--start", "99")
+    assert (code, out, err) == (2, "", "error: start 99 out of range\n")
+
+
 def test_budget_exit_three(capsys, fixtures_dir):
     code, _, err = run(capsys, "solve", str(fixtures_dir / "fig_ex.pt"), "--max-nodes", "2")
     assert code == 3

@@ -20,7 +20,7 @@ from pirates_treasure.fixtures import (
     fig_mis_components,
 )
 from pirates_treasure.model import random_instance
-from pirates_treasure.solver import FinalScores, OutcomeClass
+from pirates_treasure.solver import FinalScores, OutcomeClass, Search
 from pirates_treasure.theory import (
     convention_best_moves,
     convention_comparison,
@@ -103,16 +103,15 @@ def test_convention_searches_honor_the_node_budget():
 
 
 def test_comparison_passes_its_budget_to_the_convention_searches(monkeypatch):
-    from pirates_treasure.theory import conventions
-
     seen = []
-    real = conventions.Search
+    real = Search.of
 
-    def spy(instances, budget, **kwargs):
-        seen.append((budget, kwargs["stuck"]))
-        return real(instances, budget, **kwargs)
+    def spy(boards, budget, **kwargs):
+        if "stuck" in kwargs:
+            seen.append((budget, kwargs["stuck"]))
+        return real(boards, budget, **kwargs)
 
-    monkeypatch.setattr(conventions, "Search", spy)
+    monkeypatch.setattr(Search, "of", spy)
     convention_comparison(sum_position([fig_ex()], L), budget=12345)
     # one win/loss search per convention, normal then misere
     assert seen == [(12345, -1), (12345, 1)]

@@ -94,7 +94,7 @@ def test_parser_raises_only_its_own_errors(text):
 def test_alpha_beta_agrees_with_reference_minimax(inst):
     for first in (L, R):
         pos = initial_position(inst, first)
-        fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+        fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
         assert fast == minimax_final_score(pos)
 
 
@@ -102,7 +102,7 @@ def test_alpha_beta_agrees_with_reference_minimax(inst):
 @given(boards(max_vertices=6, max_ships=2))
 def test_fleets_agree_with_reference_minimax(inst):
     pos = initial_position(inst, L)
-    fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+    fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
     assert fast == minimax_final_score(pos)
 
 

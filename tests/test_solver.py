@@ -24,6 +24,7 @@ from pirates_treasure.solver import (
     FinalScores,
     OutcomeClass,
     Search,
+    _union_state,
     classify,
     final_scores,
     greedy_score,
@@ -161,7 +162,7 @@ def test_alpha_beta_matches_plain_minimax():
     for i, inst in enumerate(boards + _corridor_boards()):
         for first in (L, R):
             pos = initial_position(inst, first)
-            fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+            fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
             assert fast == minimax_final_score(pos), f"board {i}, {first} first"
 
 
@@ -174,13 +175,14 @@ def test_forced_states_take_no_table_entry():
         inst = Instance(path, {v: rng.randint(-3, 4) for v in range(1, n - 1)}, (0,), (n - 1,))
         for first in (L, R):
             pos = initial_position(inst, first)
-            search = Search([inst], DEFAULT_NODE_BUDGET)
+            search = Search.of([inst], DEFAULT_NODE_BUDGET)
             assert search.final_score((pos,), first) == minimax_final_score(pos), f"n {n}"
             assert search.memo == {}, f"n {n}, {first} first"
 
 
 def test_board_of_zero_piles_is_solved_unsearched():
-    # every value is 0, so the root needs no search and every move keeps it
+    # every value is 0, so no root needs a search (the exact window
+    # (1 - inf, inf - 1) is empty) and every move keeps the value
     graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     inst = Instance(graph, {1: 0, 3: 0}, (0,), (2,))
     report = solve(inst)
@@ -188,6 +190,11 @@ def test_board_of_zero_piles_is_solved_unsearched():
     assert report.best_first_moves_left == frozenset(legal_moves(initial_position(inst, L)))
     assert report.best_first_moves_right == frozenset(legal_moves(initial_position(inst, R)))
     assert report.nodes_expanded == 0
+    search = Search.of([inst], budget=0)
+    for first in (L, R):
+        assert search.final_score([initial_position(inst, first)], first) == 0
+    assert search.nodes == 0
+    assert final_scores(inst, budget=0) == FinalScores(0, 0)
 
 
 def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
@@ -195,7 +202,7 @@ def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
     for n in range(2, 13):
         path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
         board, wt, root = gadget_bits(path.adjacency_bits, 0)
-        search = Search.from_bits(board, wt, DEFAULT_NODE_BUDGET)
+        search = Search(board, wt, DEFAULT_NODE_BUDGET)
         assert search.value(*root, 0, 1) >= 1, f"n {n}"
         assert search.memo == {}, f"n {n}"
 
@@ -204,7 +211,7 @@ def test_two_ship_fleets_agree_with_minimax():
     for seed in range(20):
         inst = random_instance(7, 0.6, (1, 3), 2, 1, seed=1000 + seed)
         pos = initial_position(inst, L)
-        fast = Search([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+        fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
         assert fast == minimax_final_score(pos)
 
 
@@ -239,32 +246,50 @@ def _random_fleet_board(seed: int) -> Instance:
     return dataclasses.replace(inst, initial_score=rng.choice([-3, -2, -1, 1, 2, 3]))
 
 
+def _reaches(search: Search, positions, mover: Player, target: int) -> bool:
+    """Does the final score from ``positions`` reach ``target``?  One
+    zero-window search of the packed root, in the mover's frame."""
+    root = _union_state(positions, mover)
+    banked = 0 if search.stuck else sum(p.score for p in positions)
+    if mover is L:
+        t = target - banked
+        return search.value(*root, t - 1, t) >= t
+    t = banked - target
+    return search.value(*root, t, t + 1) <= t
+
+
 def test_left_wins_matches_sign_of_final_score():
     # the zero-width window must sit at the banked score, from either mover
     for seed in range(300):
         inst = _random_fleet_board(3000 + seed)
+        # Left's play adds v to the banked score: bank each score around -v
+        v = final_scores(inst).left_first - inst.initial_score
+        for banked in range(-v - 2, -v + 3):
+            shifted = dataclasses.replace(inst, initial_score=banked)
+            wins = left_wins_moving_first(shifted, 10**6)
+            assert wins == (banked + v > 0), f"seed {seed}, banked {banked}"
         for stuck in (0, -1, 1):
             for first in (L, R):
                 roots = [initial_position(inst, first)]
-                exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
-                wins = Search([inst], 10**6, stuck=stuck).at_least(roots, first, 1)
+                exact = Search.of([inst], 10**6, stuck=stuck).final_score(roots, first)
+                wins = _reaches(Search.of([inst], 10**6, stuck=stuck), roots, first, 1)
                 assert wins == (exact > 0), f"seed {seed}, stuck {stuck}, {first} first"
 
 
-def test_at_least_matches_thresholds_of_final_score():
+def test_zero_window_values_match_thresholds_of_final_score():
     # each threshold in a fresh table, then all of them through one shared table
     boards = [_random_fleet_board(5000 + seed) for seed in range(120)] + _corridor_boards()
     for i, inst in enumerate(boards):
         for stuck in (0, -1, 1):
             for first in (L, R):
                 roots = [initial_position(inst, first)]
-                exact = Search([inst], 10**6, stuck=stuck).final_score(roots, first)
-                shared = Search([inst], 10**6, stuck=stuck)
+                exact = Search.of([inst], 10**6, stuck=stuck).final_score(roots, first)
+                shared = Search.of([inst], 10**6, stuck=stuck)
                 for t in range(exact - 2, exact + 3):
                     why = f"board {i}, stuck {stuck}, {first} first, target {t}"
-                    fresh = Search([inst], 10**6, stuck=stuck).at_least(roots, first, t)
-                    assert fresh == (exact >= t), why
-                    assert shared.at_least(roots, first, t) == (exact >= t), why
+                    fresh = Search.of([inst], 10**6, stuck=stuck)
+                    assert _reaches(fresh, roots, first, t) == (exact >= t), why
+                    assert _reaches(shared, roots, first, t) == (exact >= t), why
 
 
 def _minimax_children(pos: Position) -> tuple[list[tuple[Move, int]], int]:
@@ -313,7 +338,7 @@ def test_sum_best_moves_match_full_window_values():
             values = []
             for sm in sum_legal_moves(sp):
                 child = sum_apply(sp, sm)
-                search = Search([c.instance for c in child.components], 10**6)
+                search = Search.of([c.instance for c in child.components], 10**6)
                 values.append((sm, search.final_score(child.components, child.to_move)))
             if not values:
                 assert best == frozenset()

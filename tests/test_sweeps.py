@@ -330,7 +330,7 @@ def _record_boards(monkeypatch, predicate, answer):
 
 def _packed(*boards):
     """What the reference route searches for these boards side by side."""
-    search = Search(boards, DEFAULT_NODE_BUDGET)
+    search = Search.of(boards, DEFAULT_NODE_BUDGET)
     roots = tuple(
         _union_state([initial_position(b, first) for b in boards], first)
         for first in (Player.LEFT, Player.RIGHT)
@@ -401,16 +401,16 @@ def test_class_predicates_match_the_exact_class(stuck):
     for inst in _mixed_sign_boards(4000, seed=70 + stuck):
         starts = [(initial_position(inst, first), first) for first in (Player.LEFT, Player.RIGHT)]
         if stuck:
-            exact = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+            exact = Search.of([inst], DEFAULT_NODE_BUDGET, stuck)
             got = classify(FinalScores(*(exact.final_score([p], first) for p, first in starts)))
         else:
             got = classify(final_scores(inst))
         classes[got] += 1
         roots = tuple(_union_state([p], first) for p, first in starts)
-        shared = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+        shared = Search.of([inst], DEFAULT_NODE_BUDGET, stuck)
         for cls, name in _PREDICATES.items():
             predicate = getattr(sweeps, name)
-            fresh = Search([inst], DEFAULT_NODE_BUDGET, stuck)
+            fresh = Search.of([inst], DEFAULT_NODE_BUDGET, stuck)
             assert predicate(fresh, roots) is (got is cls), (name, serialize_instance(inst))
             assert predicate(shared, roots) is (got is cls), (name, serialize_instance(inst))
     # scoring play meets every class tested; a stuck mover's +-1 never ties

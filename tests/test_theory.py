@@ -210,6 +210,16 @@ def test_path_oracle_budget():
         hampath_by_permutations(Graph(9, frozenset()))
 
 
+@pytest.mark.parametrize("oracle, cap", [(hampath_oracle, 12), (hampath_by_permutations, 8)])
+@pytest.mark.parametrize("start", ["-1", "n", "99"])
+def test_path_oracles_check_the_start_before_their_size_caps(oracle, cap, start):
+    for n in (3, cap + 1):
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        s = n if start == "n" else int(start)
+        with pytest.raises(ValidationError, match=f"^start {s} out of range$"):
+            oracle(path, s)
+
+
 def test_reduction_rejects_bad_berth():
     with pytest.raises(ValidationError):
         reduce_from_hampath(Graph.from_edges(2, [(0, 1)]), 2)
@@ -229,7 +239,7 @@ def test_grid_reductions():
         adj = grid_graph(cols, rows).adjacency_bits
         s = GridSpec(cols, rows).vertex_id(*cell)
         board, wt, root = gadget_bits(adj, s)
-        left_wins = Search.from_bits(board, wt, DEFAULT_NODE_BUDGET).value(*root, 0, 1) >= 1
+        left_wins = Search(board, wt, DEFAULT_NODE_BUDGET).value(*root, 0, 1) >= 1
         assert left_wins is hampath_from(adj, s) is has_path
         # grafting a path onto a planar graph keeps it planar: at most 3n - 6 edges
         assert sum(b.bit_count() for b in board) // 2 <= 3 * len(board) - 6
