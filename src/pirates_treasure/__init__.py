@@ -13,7 +13,6 @@ from .algebra import (
     GameTree,
     SumMove,
     SumPosition,
-    SumReport,
     extract_tree,
     leaf,
     negate_instance,
@@ -61,7 +60,7 @@ from .solver import (
     DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
-    SolveReport,
+    Report,
     classify,
     final_scores,
     greedy_score,
@@ -86,10 +85,9 @@ __all__ = [
     "ParseError",
     "Player",
     "Position",
-    "SolveReport",
+    "Report",
     "SumMove",
     "SumPosition",
-    "SumReport",
     "ValidationError",
     "apply_move",
     "classify",

@@ -7,8 +7,9 @@ one tree answers both "Left starts" and "Right starts" questions.
 
 Sums are computed two independent ways on purpose.  :func:`solve_sum`
 plays the boards side by side as one disjoint-union board on the
-solver's single search kernel (fast); :func:`sum_trees` follows the
-textbook recursion on trees.  The test suite holds them equal.
+solver's single search kernel (fast) and answers with the solver's one
+report, :func:`.solver.report`; :func:`sum_trees` follows the textbook
+recursion on trees.  The test suite holds them equal.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from .engine import (
 )
 from .errors import BudgetExceededError
 from .model import Instance
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    FinalScores,
-    OutcomeClass,
-    Search,
-    best_moves,
-    classify,
-)
+from .solver import DEFAULT_NODE_BUDGET, FinalScores, Report, Search, report
 
 DEFAULT_EXPANSION_BUDGET = 1_000_000
 
@@ -254,26 +248,8 @@ def sum_apply(sp: SumPosition, sum_move: SumMove) -> SumPosition:
     return SumPosition(comps, sp.to_move.opponent)
 
 
-@dataclass(frozen=True)
-class SumReport:
-    final_scores: FinalScores
-    outcome: OutcomeClass
-    best_first_moves_left: frozenset[SumMove]
-    best_first_moves_right: frozenset[SumMove]
-    nodes_expanded: int
-
-
-def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> SumReport:
-    """Scores, class and best first moves for a compound position."""
+def solve_sum(sp: SumPosition, budget: int = DEFAULT_NODE_BUDGET) -> Report:
+    """Scores, class and best (component, move) first moves for a compound
+    position; ``sp.to_move`` is not read."""
     search = Search.of([c.instance for c in sp.components], budget, what="sum solve")
-    (sl, best_left), (sr, best_right) = (
-        best_moves(search, sp.components, first) for first in (Player.LEFT, Player.RIGHT)
-    )
-    final = FinalScores(sl, sr)
-    return SumReport(
-        final_scores=final,
-        outcome=classify(final),
-        best_first_moves_left=best_left,
-        best_first_moves_right=best_right,
-        nodes_expanded=search.nodes,
-    )
+    return report(search, sp.components)

@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -172,15 +172,24 @@ def _node_budget(text: str) -> int:
     return budget
 
 
+def _read(path: str, parse):
+    """``parse`` of the file's text; a decode, parse or validation error
+    names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_instance(path: str) -> Instance:
-    inst = parse_instance(Path(path).read_text())
+    inst = _read(path, parse_instance)
     for warning in validate(inst):
         print(f"note: {path}: {warning}", file=sys.stderr)
     return inst
 
 
 def _moves_text(pos: Position, moves) -> str:
-    ordered = sorted(moves, key=Move.sort_key)
+    ordered = sorted((m for _, m in moves), key=Move.sort_key)
     return ", ".join(format_move(pos, m) for m in ordered) if ordered else "(none)"
 
 
@@ -265,7 +274,7 @@ def _cmd_negate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    graph = parse_graph(Path(args.file).read_text())
+    graph = _read(args.file, parse_graph)
     inst = reduce_from_hampath(graph, args.at)
     print(
         f"note: berth {args.at}, grafted path of {graph.vertex_count} vertices",
@@ -276,7 +285,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graph = parse_graph(Path(args.file).read_text())
+    graph = _read(args.file, parse_graph)
     print("true" if hampath_oracle(graph, start=args.start) else "false")
     return 0
 

@@ -18,21 +18,23 @@ Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
 treasure and give -1 or +1 (:mod:`.theory.conventions`).
 
-:meth:`Search.final_score` is the one place an exact root is searched;
-every threshold question is a zero-window :meth:`Search.value` on a
-packed root.  :func:`best_moves` finds the optimal first moves for
-:func:`solve`, sums and the normal and misere reports alike: a first
+:meth:`Search.root` is the one place an exact root is searched; every
+threshold question is a zero-window :meth:`Search.value` on a packed
+root.  :func:`report` answers boards (:func:`solve`), sums
+and the normal and misere conventions alike with one :class:`Report`:
+each first mover's final score, class and best first moves.  A first
 move taking pile ``w`` keeps the mover's value ``v`` exactly when a
 zero-window search of its packed child shows the opponent gets at most
 ``w - v``.  The principal variation takes, at each step, the first move
-in (ship, target vertex) order that passes the same test.
+in (ship, target vertex) order that passes the same test, and steps to
+that child with value ``w - v``.
 ``minimax_final_score`` is a deliberately plain exhaustive recursion kept
 as a reference implementation; the test suite holds the two routes equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -88,11 +90,16 @@ def classify(scores: FinalScores) -> OutcomeClass:
 
 
 @dataclass(frozen=True)
-class SolveReport:
+class Report:
+    """Who wins from each first mover, and with which opening moves.
+
+    Best first moves are (component, move) pairs, component 0 on one
+    board; the variations are ``()`` unless asked for."""
+
     final_scores: FinalScores
     outcome: OutcomeClass
-    best_first_moves_left: frozenset[Move]
-    best_first_moves_right: frozenset[Move]
+    best_first_moves_left: frozenset[tuple[int, Move]]
+    best_first_moves_right: frozenset[tuple[int, Move]]
     pv_left: tuple[Move, ...]
     pv_right: tuple[Move, ...]
     nodes_expanded: int
@@ -143,20 +150,25 @@ class Search:
         return cls(adj, wt, budget, stuck, what)
 
     def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
-        """Terminal score under best play from the positions side by side.
+        """Terminal score under best play from the positions side by side."""
+        return self.root(positions, to_move)[0]
+
+    def root(
+        self, positions: Sequence[Position], to_move: Player
+    ) -> tuple[int, tuple[int, int, int], int]:
+        """Final score from the positions side by side, their packed state
+        with ``to_move`` to move, and that mover's value of it.
 
         The packed root is searched in the mover's window ``(1 - inf,
         inf - 1)``: no value lies beyond it, so a result at either edge is
         exact.  When every pile is 0 in scoring play that window is empty
         and the value is 0 unsearched.
         """
+        state = _union_state(positions, to_move)
         m = self.inf - 1
-        v = self.value(*_union_state(positions, to_move), -m, m) if m else 0
-        banked = self._banked(positions)
-        return banked + v if to_move is Player.LEFT else banked - v
-
-    def _banked(self, positions: Sequence[Position]) -> int:
-        return 0 if self.stuck else sum(p.score for p in positions)
+        v = self.value(*state, -m, m) if m else 0
+        banked = 0 if self.stuck else sum(p.score for p in positions)
+        return (banked + v if to_move is Player.LEFT else banked - v), state, v
 
     def value(self, ships, others, visited, alpha, beta):
         """Optimal score still to come for the mover, who owns the fleet mask
@@ -270,47 +282,41 @@ def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalS
     )
 
 
-def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> SolveReport:
-    """Full report: both final scores, best first moves, variations."""
-    search = Search.of([inst], budget)
-    reports = []
+def solve(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> Report:
+    """Full report on one board: both final scores, best first moves, variations."""
+    return report(Search.of([inst], budget), (initial_position(inst, Player.LEFT),), True)
+
+
+def report(search: Search, positions: Sequence[Position], variations: bool = False) -> Report:
+    """Scores, class and best first moves of the positions side by side,
+    Left first and then Right first, on ``search``'s one table.
+
+    With ``variations`` each first mover also gets the principal variation
+    from ``positions[0]``, which must then be the only board.
+    """
+    sides = []
     for first in (Player.LEFT, Player.RIGHT):
-        root = initial_position(inst, first)
-        score, best = best_moves(search, (root,), first)
-        pv = _principal_variation(search, root, score)
-        reports.append((score, frozenset(m for _, m in best), pv))
-    (sl, best_left, pv_left), (sr, best_right, pv_right) = reports
+        score, state, v = search.root(positions, first)
+        best = frozenset(move for move, _, _ in _keeping(search, positions, first, state, v))
+        pv = ()
+        if variations:
+            pv = _principal_variation(search, replace(positions[0], to_move=first), state, v)
+        sides.append((score, best, pv))
+    (sl, best_left, pv_left), (sr, best_right, pv_right) = sides
     final = FinalScores(sl, sr)
-    return SolveReport(
-        final_scores=final,
-        outcome=classify(final),
-        best_first_moves_left=best_left,
-        best_first_moves_right=best_right,
-        pv_left=pv_left,
-        pv_right=pv_right,
-        nodes_expanded=search.nodes,
-    )
+    return Report(final, classify(final), best_left, best_right, pv_left, pv_right, search.nodes)
 
 
-def best_moves(
-    search: Search, positions: Sequence[Position], first: Player
-) -> tuple[int, frozenset[tuple[int, Move]]]:
-    """Final score and optimal (component, move) first moves: those that
-    keep it (:func:`_keeping`).  With no move the banked score is final."""
-    score = search.final_score(positions, first)
-    return score, frozenset(_keeping(search, positions, first, score))
-
-
-def _keeping(search: Search, positions: Sequence[Position], mover: Player, score: int):
-    """First moves, lazily and in generation order, that keep the final
-    ``score`` of ``positions`` with ``mover`` to move."""
-    banked = search._banked(positions)
-    v = score - banked if mover is Player.LEFT else banked - score
-    for move, w, child in _children(search, positions, mover, _union_state(positions, mover)):
+def _keeping(search: Search, positions: Sequence[Position], mover: Player, state, v: int):
+    """First moves, lazily and in generation order, that keep ``v``, the
+    value of the packed ``state`` of ``positions`` to ``mover``: each as
+    (component, move), the pile it takes and its packed child, whose
+    value to the opponent is then the pile minus ``v``."""
+    for move, w, child in _children(search, positions, mover, state):
         t = w - v
         # a state is worth at most inf - 1 to its mover: such a test passes unsearched
         if t >= search.inf - 1 or search.value(*child, t, t + 1) <= t:
-            yield move
+            yield move, w, child
 
 
 def _children(search: Search, positions: Sequence[Position], mover: Player, root):
@@ -328,16 +334,19 @@ def _children(search: Search, positions: Sequence[Position], mover: Player, root
         offset += pos.instance.graph.vertex_count
 
 
-def _principal_variation(search: Search, pos: Position, score: int) -> tuple[Move, ...]:
-    """Optimal line from ``pos``, whose final score is ``score``: at each
-    step the first move in (ship, target vertex) order that keeps it."""
+def _principal_variation(search: Search, pos: Position, state, v: int) -> tuple[Move, ...]:
+    """Optimal line from ``pos``, packed as ``state`` and worth ``v`` to its
+    mover: at each step the first move in (ship, target vertex) order that
+    keeps the value, stepping to its packed child."""
     line = []
     while True:
-        kept = next(_keeping(search, (pos,), pos.to_move, score), None)
+        kept = next(_keeping(search, (pos,), pos.to_move, state, v), None)
         if kept is None:
             return tuple(line)
-        line.append(kept[1])
-        pos = apply_move(pos, kept[1])
+        (_, move), w, state = kept
+        v = w - v
+        line.append(move)
+        pos = apply_move(pos, move)
 
 
 def left_wins_moving_first(inst: Instance, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -11,11 +11,12 @@ misere play differ from scoring play only in the value of a state whose
 mover is stuck: treasure counts for nothing, and the stuck mover gets -1
 (normal) or +1 (misere) from its own side, so every score is +1 or -1 and
 its sign names the winner.  One win/loss search per convention gives both
-answers: ``solver.best_moves`` returns that score with the moves that keep
-the mover's value, which are the winning moves in a won game and every
-move in a lost one.  :func:`normal_outcome` and :func:`misere_outcome`
-ask the winner alone: the sign of ``Search.final_score``, whose window
-``(-1, 1)`` in a ±1 game always returns a bound of the right sign.
+answers for both first movers: ``solver.report`` returns that score with
+the moves that keep the mover's value, which are the winning moves in a
+won game and every move in a lost one.  :func:`normal_outcome` and
+:func:`misere_outcome` ask the winner alone: the sign of
+``Search.final_score``, whose window ``(-1, 1)`` in a ±1 game always
+returns a bound of the right sign.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 
 from ..algebra import SumMove, SumPosition, solve_sum
 from ..engine import Player
-from ..solver import (
-    DEFAULT_NODE_BUDGET,
-    FinalScores,
-    OutcomeClass,
-    Search,
-    best_moves,
-)
+from ..solver import DEFAULT_NODE_BUDGET, FinalScores, OutcomeClass, Report, Search, report
 
 
 def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
@@ -43,7 +38,11 @@ def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
 
 
 def _winner(sp: SumPosition, misere: bool, budget: int) -> Player:
-    score = _search(sp, misere, budget).final_score(sp.components, sp.to_move)
+    return _sign(_search(sp, misere, budget).final_score(sp.components, sp.to_move))
+
+
+def _sign(score: int) -> Player:
+    """The winner of a game that ends at ``score``, never 0 under a convention."""
     return Player.LEFT if score > 0 else Player.RIGHT
 
 
@@ -64,9 +63,14 @@ def convention_best_moves(
 
     These are the moves that keep the mover's value: when the mover wins,
     the winning moves; in a lost game no move is better than another, so
-    all of them count as best.
+    all of them count as best.  This reads ``sp.to_move``'s side of a
+    ``solver.report``, which searches both first movers.
     """
-    return best_moves(_search(sp, misere, budget), sp.components, sp.to_move)[1]
+    return _best(report(_search(sp, misere, budget), sp.components))[sp.to_move]
+
+
+def _best(r: Report) -> dict[Player, frozenset[SumMove]]:
+    return {Player.LEFT: r.best_first_moves_left, Player.RIGHT: r.best_first_moves_right}
 
 
 @dataclass(frozen=True)
@@ -103,29 +107,17 @@ def convention_comparison(
     """Solve the same board under all three conventions, both sides first.
 
     ``sp.to_move`` is not read.  Scoring play is :func:`solve_sum`.  Normal
-    and misere play take one win/loss search each, shared by both first
-    players: ``best_moves`` gives the ±1 score, whose sign names the
-    winner, and the best moves.
+    and misere play take one ``solver.report`` each on a win/loss search:
+    the sign of each ±1 score names the winner.
     """
     scoring = solve_sum(sp, budget)
-    verdicts = []
-    for misere in (False, True):
-        search = _search(sp, misere, budget)
-        winner, best = {}, {}
-        for first in (Player.LEFT, Player.RIGHT):
-            score, best[first] = best_moves(search, sp.components, first)
-            winner[first] = Player.LEFT if score > 0 else Player.RIGHT
-        verdicts.append((winner, best))
-    (normal_winner, normal_best), (misere_winner, misere_best) = verdicts
+    normal, misere = (report(_search(sp, m, budget), sp.components) for m in (False, True))
     return ConventionReport(
         scoring_final=scoring.final_scores,
         scoring_outcome=scoring.outcome,
-        scoring_best_moves={
-            Player.LEFT: scoring.best_first_moves_left,
-            Player.RIGHT: scoring.best_first_moves_right,
-        },
-        normal_winner=normal_winner,
-        misere_winner=misere_winner,
-        normal_best_moves=normal_best,
-        misere_best_moves=misere_best,
+        scoring_best_moves=_best(scoring),
+        normal_winner=dict(zip(Player, map(_sign, normal.final_scores))),
+        misere_winner=dict(zip(Player, map(_sign, misere.final_scores))),
+        normal_best_moves=_best(normal),
+        misere_best_moves=_best(misere),
     )

@@ -81,12 +81,12 @@ def test_02_greed_costs_two_points():
     inst = fig_ex1()
     optimal = solve(inst)
     greedy = greedy_score(inst, greedy_player=L, first_player=L)
-    greedy_opening = Move(L, 0, 3)  # grab the 3 next door
+    greedy_opening = (0, Move(L, 0, 3))  # grab the 3 next door
     ok = (
         optimal.final_scores.left_first == 1
         and greedy == -1
         and greedy_opening not in optimal.best_first_moves_left
-        and optimal.best_first_moves_left == frozenset({Move(L, 0, 1)})
+        and optimal.best_first_moves_left == frozenset({(0, Move(L, 0, 1))})
     )
     _report(
         "criterion 2 (greed punished)",

@@ -118,7 +118,7 @@ def test_reduce_refuses_a_graph_above_the_vertex_cap_at_once(capsys, monkeypatch
     code, out, err = run(capsys, "reduce", str(graph_file), "--at", "0")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == "error: 1000000000 vertices, more than the 100000 allowed\n"
+    assert err == f"error: {graph_file}: 1000000000 vertices, more than the 100000 allowed\n"
 
 
 def test_verify_passes(capsys):
@@ -238,7 +238,26 @@ def test_parse_error_exits_two(capsys, tmp_path):
         bad.write_text(text)
         code, out, err = run(capsys, "solve", str(bad))
         assert (code, out) == (2, "")
-        assert err == f"error: no 'v' line for vertices [{missing}]\n"
+        assert err == f"error: {bad}: no 'v' line for vertices [{missing}]\n"
+
+
+@pytest.mark.parametrize("command", ["sum", "compare"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"vertices 2\nv 0 ship L\nv 1 valu 3\n", "line 3: unknown vertex kind 'valu'"),
+    ],
+    ids=["decode", "parse"],
+)
+def test_error_line_names_the_bad_file_alone(capsys, tmp_path, fixtures_dir, command,
+                                             content, message):
+    good = str(fixtures_dir / "fig_ex.pt")
+    bad = tmp_path / "bad.pt"
+    bad.write_bytes(content)
+    for files in ([good, str(bad)], [str(bad), good]):
+        code, out, err = run(capsys, command, *files)
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import pytest
 
+from pirates_treasure import solver
 from pirates_treasure.algebra import solve_sum, sum_apply, sum_legal_moves, sum_position
 from pirates_treasure.engine import (
     Move,
@@ -66,10 +67,10 @@ def test_fig_ex_scores_and_class():
 def test_fig_ex_best_first_moves():
     report = solve(fig_ex())
     assert report.best_first_moves_left == frozenset(
-        {Move(L, 0, 1), Move(L, 0, 2)}
+        {(0, Move(L, 0, 1)), (0, Move(L, 0, 2))}
     )
     assert report.best_first_moves_right == frozenset(
-        {Move(R, 0, 3), Move(R, 0, 4)}
+        {(0, Move(R, 0, 3)), (0, Move(R, 0, 4))}
     )
 
 
@@ -79,8 +80,8 @@ def test_fig_ex1_punishes_greed():
     assert greedy_score(inst, greedy_player=L, first_player=L) == -1
     report = solve(inst)
     # the greedy grab (the 3 next door) is not among the optimal openings
-    assert report.best_first_moves_left == frozenset({Move(L, 0, 1)})
-    assert Move(L, 0, 3) not in report.best_first_moves_left
+    assert report.best_first_moves_left == frozenset({(0, Move(L, 0, 1))})
+    assert (0, Move(L, 0, 3)) not in report.best_first_moves_left
 
 
 def test_greedy_never_beats_optimal():
@@ -108,8 +109,9 @@ def test_pv_replays_to_reported_score():
 
 def test_pv_starts_with_lexicographically_first_best_move():
     report = solve(fig_ex())
-    assert report.pv_left[0] == min(report.best_first_moves_left, key=Move.sort_key)
-    assert report.pv_right[0] == min(report.best_first_moves_right, key=Move.sort_key)
+    for pv, best in ((report.pv_left, report.best_first_moves_left),
+                     (report.pv_right, report.best_first_moves_right)):
+        assert (0, pv[0]) == min(best, key=lambda cm: cm[1].sort_key())
 
 
 def test_initial_score_shifts_both_results():
@@ -187,14 +189,26 @@ def test_board_of_zero_piles_is_solved_unsearched():
     inst = Instance(graph, {1: 0, 3: 0}, (0,), (2,))
     report = solve(inst)
     assert report.final_scores == FinalScores(0, 0)
-    assert report.best_first_moves_left == frozenset(legal_moves(initial_position(inst, L)))
-    assert report.best_first_moves_right == frozenset(legal_moves(initial_position(inst, R)))
+    for first, best in ((L, report.best_first_moves_left), (R, report.best_first_moves_right)):
+        assert best == frozenset((0, m) for m in legal_moves(initial_position(inst, first)))
     assert report.nodes_expanded == 0
     search = Search.of([inst], budget=0)
     for first in (L, R):
         assert search.final_score([initial_position(inst, first)], first) == 0
     assert search.nodes == 0
     assert final_scores(inst, budget=0) == FinalScores(0, 0)
+
+
+def test_report_packs_each_root_once(monkeypatch):
+    # one packed root per first mover: the best moves and the variation step
+    # to packed children instead of packing their positions again
+    packed = []
+    monkeypatch.setattr(solver, "_union_state", lambda *a: packed.append(a) or _union_state(*a))
+    report = solve_sum(sum_position([fig_ex(), fig_half(), fig_ex1()], L))
+    assert (len(packed), report.nodes_expanded) == (2, 1230)
+    packed.clear()
+    report = solve(fig_ex())
+    assert (len(packed), report.nodes_expanded) == (2, 58)
 
 
 def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
@@ -311,7 +325,7 @@ def _assert_report_matches_minimax(inst: Instance, report, why: str) -> None:
             assert best == frozenset() and pv == ()
             continue
         values, opt = _minimax_children(pos)
-        assert best == frozenset(m for m, v in values if v == opt), why
+        assert best == frozenset((0, m) for m, v in values if v == opt), why
         for step, move in enumerate(pv):
             values, opt = _minimax_children(pos)
             expected = min((m for m, v in values if v == opt), key=Move.sort_key)
@@ -430,7 +444,9 @@ def test_multi_ship_sums_match_minimax_on_the_union():
             (summed.best_first_moves_left, report.best_first_moves_left),
             (summed.best_first_moves_right, report.best_first_moves_right),
         ):
-            as_union = {Move(m.player, 2 * ci + m.ship, offsets[ci] + m.to) for ci, m in sum_best}
+            as_union = {
+                (0, Move(m.player, 2 * ci + m.ship, offsets[ci] + m.to)) for ci, m in sum_best
+            }
             assert as_union == best, f"seed {seed}"
 
 
