@@ -16,7 +16,9 @@ the moves that keep the mover's value, which are the winning moves in a
 won game and every move in a lost one.  :func:`normal_outcome` and
 :func:`misere_outcome` ask the winner alone: the sign of
 ``Search.final_score``, whose window ``(-1, 1)`` in a ±1 game always
-returns a bound of the right sign.
+returns a bound of the right sign.  :func:`convention_best_moves` asks
+one first mover's best moves alone: its root, then the same keep-the-value
+test of each first move.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from dataclasses import dataclass
 
 from ..algebra import SumMove, SumPosition, solve_sum
 from ..engine import Player
-from ..solver import DEFAULT_NODE_BUDGET, FinalScores, OutcomeClass, Report, Search, report
+from ..solver import (
+    DEFAULT_NODE_BUDGET,
+    FinalScores,
+    OutcomeClass,
+    Report,
+    Search,
+    _keeping,
+    report,
+)
 
 
 def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
@@ -63,10 +73,12 @@ def convention_best_moves(
 
     These are the moves that keep the mover's value: when the mover wins,
     the winning moves; in a lost game no move is better than another, so
-    all of them count as best.  This reads ``sp.to_move``'s side of a
-    ``solver.report``, which searches both first movers.
+    all of them count as best.  Only ``sp.to_move``'s side is searched:
+    its root, then the keep-the-value test of each first move.
     """
-    return _best(report(_search(sp, misere, budget), sp.components))[sp.to_move]
+    search = _search(sp, misere, budget)
+    _, state, v = search.root(sp.components, sp.to_move)
+    return frozenset(move for move, _, _ in _keeping(search, sp.components, sp.to_move, state, v))
 
 
 def _best(r: Report) -> dict[Player, frozenset[SumMove]]:

@@ -13,7 +13,7 @@ one process pool, so splitting the work never changes the result, only
 the wall time.  No board crosses the pool, so even n = 7 sends only a few
 thousand small tuples.  Sweeps are deterministic for fixed parameters.
 
-The reduction and uniform-value checks work on raw bitmasks.  The
+The reduction, uniform-value and table checks work on raw bitmasks.  The
 reduction check grafts the path gadget onto a graph's adjacency masks
 and sets one zero-window search against the path oracle.  A uniform
 check (no P positions when every pile is worth x > 0, no N positions at
@@ -21,12 +21,17 @@ check (no P positions when every pile is worth x > 0, no N positions at
 the two roots, each three vertex masks (mover's fleet, other fleet,
 plundered; a board beside its mirror holds two ships a side), and runs
 zero-window searches that stop at the first root that rules the class
-out.  Only a violating board becomes an
-:class:`~pirates_treasure.model.Instance` whose class
-:func:`~pirates_treasure.solver.final_scores` reports.  The table check
-asks ``final_scores`` for the two scores of the boards side by side,
-never for a full report; the distinguishing check reads only Left-first
-scores and searches only those.
+out.  It asks once per berth pair: the board with berths (b, a) has the
+adjacency, piles and packed roots of the board with (a, b), the roots in
+the other order, so it takes the verdict that (a, b) got earlier on the
+same graph.  The table check takes each summand's class from the
+signs of its two first movers' results, windows ``(-1, 1)``, and searches
+the boards side by side for Left first, then for Right first only when
+that sign leaves the sum's cell open.  Only a violating board becomes an
+:class:`~pirates_treasure.model.Instance`, and only then do exact
+:func:`~pirates_treasure.solver.final_scores` give the class its report
+line shows.  The distinguishing check reads only Left-first scores and
+searches only those.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from ..errors import ValidationError
 from ..model import Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
+    FinalScores,
     OutcomeClass,
     Search,
     classify,
@@ -55,7 +61,6 @@ from .families import (
     distinguishing_context,
     graph_from_bits,
     random_pt_instance,
-    random_ptx_instance,
     random_uniform_bits,
     uniform_boards_bits,
     uniform_instance,
@@ -248,6 +253,7 @@ def _uniform_sweep(
         for masks in _blocks(0, _mask_count(n), _UNIFORM_BLOCK)
     ]
     blocks += _seeded(_drawn, seed, random_trials, random_max_n)
+    blocks = [(_twins, (boards, *args)) for boards, args in blocks]
     params = dict(
         max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
@@ -258,11 +264,63 @@ def _uniform_sweep(
     return report
 
 
+def _twins(boards: Callable, *args) -> Iterator[tuple[list[int], int, int, dict]]:
+    """The boards of ``boards(*args)``, each with the verdict memo of its graph.
+
+    One memo serves the boards of one graph, which come one after another
+    as one adjacency list; it is keyed by the berth mask.  The board with
+    berths (b, a) has the same adjacency and piles as the one with (a, b),
+    and the same two packed roots in the other order, so a class question
+    on both roots gets the same answer from both: the later twin takes the
+    earlier one's verdict unsearched.  A drawn board has a graph of its own
+    and misses.
+    """
+    verdicts: dict[int, bool] = {}
+    last = None
+    for adj, left, right in boards(*args):
+        if adj is not last:
+            verdicts, last = {}, adj
+        yield adj, left, right, verdicts
+
+
 def _piles(n: int, left: int, right: int, value: int) -> list[int]:
     """Pile values of a uniform board: ``value`` on every vertex but the berths."""
     wt = [value] * n
     wt[left] = wt[right] = 0
     return wt
+
+
+def _uniform(adj, left, right, value) -> tuple[list[int], list[int], int, int]:
+    """A uniform board on bitmasks: adjacency, piles, Left's and Right's fleet masks."""
+    return adj, _piles(len(adj), left, right, value), 1 << left, 1 << right
+
+
+def _beside(*boards) -> tuple[list[int], list[int], int, int]:
+    """Bitmask boards side by side as one: each board's vertices are
+    shifted up by the vertex counts of the boards before it."""
+    adj: list[int] = []
+    wt: list[int] = []
+    lefts = rights = 0
+    for board_adj, board_wt, board_lefts, board_rights in boards:
+        offset = len(adj)
+        adj += [b << offset for b in board_adj]
+        wt += board_wt
+        lefts |= board_lefts << offset
+        rights |= board_rights << offset
+    return adj, wt, lefts, rights
+
+
+def _search_roots(board, budget) -> tuple[Search, tuple]:
+    """A search over a bitmask board and its two packed roots, Left first
+    and Right first, with nothing plundered but the berths."""
+    adj, wt, lefts, rights = board
+    berths = lefts | rights
+    return Search(adj, wt, budget), ((lefts, rights, berths), (rights, lefts, berths))
+
+
+def _instance(adj, left, right, value) -> Instance:
+    """The uniform board that a violation's report line shows."""
+    return uniform_instance(graph_from_bits(adj), left, right, value)
 
 
 # Class predicates on the two packed roots (Left first, Right first), each
@@ -286,29 +344,31 @@ def _is_tie(search: Search, roots) -> bool:
 
 
 def _class_is_not(
-    forbidden: OutcomeClass, has_class: Callable, adj, left, right, value, budget
+    forbidden: OutcomeClass, has_class: Callable, adj, left, right, verdicts, value, budget
 ) -> Violation | None:
-    lefts, rights = 1 << left, 1 << right
-    berths = lefts | rights
-    search = Search(adj, _piles(len(adj), left, right, value), budget)
-    if not has_class(search, ((lefts, rights, berths), (rights, lefts, berths))):
+    berths = 1 << left | 1 << right
+    hit = verdicts.get(berths)
+    if hit is None:
+        board = _uniform(adj, left, right, value)
+        hit = verdicts[berths] = has_class(*_search_roots(board, budget))
+    if not hit:
         return None
-    inst = uniform_instance(graph_from_bits(adj), left, right, value)
+    inst = _instance(adj, left, right, value)
     got = classify(final_scores(inst, budget=budget))
     return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
 
 
-def _ties_with_mirror(adj, left, right, value, budget) -> Violation | None:
+def _ties_with_mirror(adj, left, right, verdicts, value, budget) -> Violation | None:
     """The board and its mirror side by side: the mirror is the same board
-    shifted up by n with the berths swapped, so Left holds (left, right + n)."""
-    n = len(adj)
-    wt = _piles(n, left, right, value)
-    berths = (1 << left | 1 << right) * ((1 << n) + 1)
-    search = Search(adj + [b << n for b in adj], wt + wt, budget)
-    lefts, rights = 1 << left | 1 << right + n, 1 << right | 1 << left + n
-    if _is_tie(search, ((lefts, rights, berths), (rights, lefts, berths))):
+    with the berths swapped, so Left holds (left, right + n)."""
+    berths = 1 << left | 1 << right
+    tie = verdicts.get(berths)
+    if tie is None:
+        board = _beside(_uniform(adj, left, right, value), _uniform(adj, right, left, value))
+        tie = verdicts[berths] = _is_tie(*_search_roots(board, budget))
+    if tie:
         return None
-    inst = uniform_instance(graph_from_bits(adj), left, right, value)
+    inst = _instance(adj, left, right, value)
     got = classify(final_scores(inst, negate_instance(inst), budget=budget))
     return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
 
@@ -393,25 +453,57 @@ def outcome_table_cell(a: OutcomeClass, b: OutcomeClass) -> frozenset[OutcomeCla
     return OUTCOME_TABLE.get(tuple(sorted((a.value, b.value))))
 
 
-def _pairs(seeds: range, max_n: int, x: int) -> Iterator[tuple[Instance, Instance]]:
-    """Two uniform boards per seed, both drawn from ``Random(seed)``."""
+#: The classes still possible once Left first's result has this sign,
+#: whatever Right first gets.
+_AFTER_LEFT_FIRST = {
+    sl: frozenset(classify(FinalScores(sl, sr)) for sr in (-1, 0, 1)) for sl in (-1, 0, 1)
+}
+
+
+def _pairs(seeds: range, max_n: int) -> Iterator[tuple[tuple, tuple]]:
+    """Two uniform boards per seed, each (adjacency, Left berth, Right
+    berth), drawn from ``Random(seed)`` as two ``random_ptx_instance``
+    calls draw them."""
     for seed in seeds:
         rng = random.Random(seed)
-        a = random_ptx_instance(rng.randint(2, max_n), x, rng)
-        yield a, random_ptx_instance(rng.randint(2, max_n), x, rng)
+        a = random_uniform_bits(rng.randint(2, max_n), rng)
+        yield a, random_uniform_bits(rng.randint(2, max_n), rng)
 
 
-def _table_check(a: Instance, b: Instance, budget: int) -> Violation | None:
-    """A pair of uniform boards: the sum's class against its cell."""
-    class_a = classify(final_scores(a, budget=budget))
-    class_b = classify(final_scores(b, budget=budget))
-    text = serialize_instance(a) + "+\n" + serialize_instance(b)
+def _sign_class(board, budget: int) -> OutcomeClass:
+    """A bitmask board's class from the signs of its two first movers'
+    results, each one window ``(-1, 1)`` search."""
+    search, (left_first, right_first) = _search_roots(board, budget)
+    return classify(
+        FinalScores(search.value(*left_first, -1, 1), -search.value(*right_first, -1, 1))
+    )
+
+
+def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
+    """Does a bitmask board's class lie in ``cell``?  Right first is
+    searched only when Left first's sign leaves the answer open."""
+    search, (left_first, right_first) = _search_roots(board, budget)
+    v = search.value(*left_first, -1, 1)
+    possible = _AFTER_LEFT_FIRST[(v > 0) - (v < 0)]
+    inside = possible & cell
+    if not inside or inside == possible:
+        return bool(inside)
+    return classify(FinalScores(v, -search.value(*right_first, -1, 1))) in cell
+
+
+def _table_check(a, b, x: int, budget: int) -> Violation | None:
+    """A pair of uniform boards: the sum's class against its cell.  Only a
+    violating pair is worded, with the sum's exact class."""
+    board_a, board_b = _uniform(*a, x), _uniform(*b, x)
+    class_a, class_b = _sign_class(board_a, budget), _sign_class(board_b, budget)
     cell = outcome_table_cell(class_a, class_b)
+    if cell is not None and _class_in(cell, _beside(board_a, board_b), budget):
+        return None
+    inst_a, inst_b = _instance(*a, x), _instance(*b, x)
+    text = serialize_instance(inst_a) + "+\n" + serialize_instance(inst_b)
     if cell is None:
         return Violation(text, "summands on the table", f"{class_a} + {class_b}")
-    got = classify(final_scores(a, b, budget=budget))
-    if got in cell:
-        return None
+    got = classify(final_scores(inst_a, inst_b, budget=budget))
     allowed = "/".join(sorted(c.value for c in cell))
     return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
 
@@ -428,9 +520,9 @@ def check_outcome_table(
     _require_positive(x)
     _require_at_least("trials", trials, 1)
     _require_at_least("max_component_n", max_component_n, 2)
-    blocks = _seeded(_pairs, seed, trials, max_component_n, x)
+    blocks = _seeded(_pairs, seed, trials, max_component_n)
     params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
-    return _sweep("table", _table_check, (budget,), blocks, jobs, params)
+    return _sweep("table", _table_check, (x, budget), blocks, jobs, params)
 
 
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:

@@ -348,9 +348,16 @@ def _packed(*boards):
 def test_uniform_sweeps_search_the_enumerated_boards_in_order(
     monkeypatch, sweep, predicate, family
 ):
+    # the board with berths (b, a) takes the verdict of (a, b), checked
+    # before it on the same graph, so only the a < b boards are searched
     seen = _record_boards(monkeypatch, predicate, False)
     report = sweep(max_exhaustive_n=5, x=2, random_trials=0)
-    assert seen == [_packed(inst) for n in range(2, 6) for inst in family(n, 2)]
+    assert seen == [
+        _packed(inst)
+        for n in range(2, 6)
+        for inst in family(n, 2)
+        if inst.left_starts < inst.right_starts
+    ]
     assert report.checked == report.params["exhaustive"] == 15042
     assert report.passed
 
@@ -373,12 +380,90 @@ def test_self_sum_searches_each_board_beside_its_mirror(monkeypatch):
     report = check_self_sum_tie(
         max_exhaustive_n=4, x=2, random_trials=300, random_max_n=7, seed=60
     )
-    boards = [inst for n in range(2, 5) for inst in enumerate_ptx(n, 2)]
+    # the exhaustive a < b boards (each (b, a) takes their verdict), then every draw
+    boards = [
+        inst
+        for n in range(2, 5)
+        for inst in enumerate_ptx(n, 2)
+        if inst.left_starts < inst.right_starts
+    ]
     for seed in range(60, 360):
         rng = random.Random(seed)
         boards.append(random_ptx_instance(rng.randint(2, 7), 2, rng))
     assert seen == [_packed(inst, negate_instance(inst)) for inst in boards]
     assert report.checked == 482 + 300 and report.passed
+
+
+def _chosen(adj):
+    """The graphs where vertex 0 has two neighbors."""
+    return bin(adj[0]).count("1") == 2
+
+
+def _holds_on_chosen_graphs(search, roots):
+    """A class predicate that holds on the chosen graphs alone, whatever the berths."""
+    return _chosen(search.adj)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_berth_twins_are_each_reported_in_enumeration_order(monkeypatch, jobs):
+    monkeypatch.setattr(sweeps, "_is_p", _holds_on_chosen_graphs)
+    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
+    report = check_no_p_positions(
+        max_exhaustive_n=4, random_trials=30, random_max_n=6, seed=21, jobs=jobs
+    )
+    boards = [inst for n in range(2, 5) for inst in enumerate_ptx(n, 1)]
+    for seed in range(21, 51):
+        rng = random.Random(seed)
+        boards.append(random_ptx_instance(rng.randint(2, 6), 1, rng))
+    expected = [
+        Violation(serialize_instance(inst), "class != P", f"class = {classify(final_scores(inst))}")
+        for inst in boards
+        if _chosen(inst.graph.adjacency_bits)
+    ]
+    assert report.checked == 482 + 30
+    assert report.violations == expected
+    # both orders of each failing berth pair are listed, each with its own
+    # board, and seeded draws on chosen graphs fail after them
+    berths = Counter(
+        (inst.graph, frozenset(inst.left_starts + inst.right_starts))
+        for inst in boards[:482]
+        if _chosen(inst.graph.adjacency_bits)
+    )
+    assert set(berths.values()) == {2}
+    assert 0 < sum(berths.values()) < len(expected)
+
+
+def test_table_sweep_words_each_violation_as_the_exact_scores_do(monkeypatch):
+    # narrowed cells fail some pairs on their sum and, with (R, TIE) gone,
+    # others on a summand pair that is off the table
+    narrowed = dict(OUTCOME_TABLE)
+    narrowed[("L", "R")] = frozenset({_L})
+    narrowed[("N", "N")] = frozenset({_N, _T})
+    del narrowed[("R", "TIE")]
+    monkeypatch.setattr(sweeps, "OUTCOME_TABLE", narrowed)
+    trials, max_n, seed = 300, 5, 31
+    expected = []
+    for i in range(trials):
+        rng = random.Random(seed + i)
+        a = random_ptx_instance(rng.randint(2, max_n), 1, rng)
+        b = random_ptx_instance(rng.randint(2, max_n), 1, rng)
+        class_a, class_b = classify(final_scores(a)), classify(final_scores(b))
+        text = serialize_instance(a) + "+\n" + serialize_instance(b)
+        cell = narrowed.get(tuple(sorted((class_a.value, class_b.value))))
+        if cell is None:
+            expected.append(Violation(text, "summands on the table", f"{class_a} + {class_b}"))
+            continue
+        got = classify(final_scores(a, b))
+        if got not in cell:
+            allowed = "/".join(sorted(c.value for c in cell))
+            expected.append(
+                Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
+            )
+    kinds = {v.expected.partition(" in ")[0] for v in expected}
+    assert {"summands on the table", "L + R", "N + N"} <= kinds
+    for jobs in (1, 2):
+        report = check_outcome_table(trials=trials, max_component_n=max_n, seed=seed, jobs=jobs)
+        assert (report.checked, report.violations) == (trials, expected)
 
 
 _PREDICATES = {_P: "_is_p", _N: "_is_n", _T: "_is_tie"}
