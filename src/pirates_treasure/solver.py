@@ -13,6 +13,10 @@ optimal score still to come from a state, taken from the mover's side,
 so transpositions reached at different running scores share one entry.
 A state whose mover has exactly one move takes no entry: its value is
 that move's pile minus its child's, and the child holds its own entry.
+A mover with at most one ship reads its moves from one target mask, its
+ship's neighbors less the plundered vertices, so its stuck and forced
+states build no move list.  A larger fleet reads its first ship the same
+way, so it pays no extra test.
 
 Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
@@ -181,23 +185,41 @@ class Search:
         ``value << 2 | flag``.  A mover with one move searches its child in
         the shifted window and builds no key: the table holds no entry for
         a forced state, which is counted against the budget all the same.
+        The lowest ship's targets are read first, as one mask
+        ``adj[ship] & ~visited``, with ``rest`` the fleet without it.  When
+        that ship is the whole fleet, an empty mask is a stuck state and a
+        mask of one bit a forced state, and neither builds a move list.
         """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(self.budget, self.what)
         adj = self.adj
         wt = self.wt
+        rest = ships & ships - 1
+        if rest:
+            m = adj[(ships ^ rest).bit_length() - 1] & ~visited
+        else:
+            if not ships:
+                return self.stuck
+            m = adj[ships.bit_length() - 1] & ~visited
+            if not m & m - 1:
+                if not m:
+                    return self.stuck
+                w = wt[m.bit_length() - 1]
+                return w - self.value(others, m, visited | m, w - beta, w - alpha)
         moves = []
-        fleet = ships
-        while fleet:
-            at = fleet & -fleet
-            fleet ^= at
-            m = adj[at.bit_length() - 1] & ~visited
-            rest = ships ^ at
+        fleet = rest
+        while True:
             while m:
                 b = m & -m
                 m ^= b
                 moves.append((wt[b.bit_length() - 1], rest | b, b))
+            if not fleet:
+                break
+            at = fleet & -fleet
+            fleet ^= at
+            m = adj[at.bit_length() - 1] & ~visited
+            rest = ships ^ at
         if not moves:
             return self.stuck
         if len(moves) == 1:

@@ -30,8 +30,13 @@ the boards side by side for Left first, then for Right first only when
 that sign leaves the sum's cell open.  Only a violating board becomes an
 :class:`~pirates_treasure.model.Instance`, and only then do exact
 :func:`~pirates_treasure.solver.final_scores` give the class its report
-line shows.  The distinguishing check reads only Left-first scores and
-searches only those.
+line shows.  The distinguishing check reads only the signs of Left-first
+scores, each from one search in a window around its banked score, and
+computes exact scores only to word a violation.
+A self-sum, a board beside its mirror, searches its Left-first root alone:
+swapping the two components maps one root onto the other.  So at a tight
+node budget a self-sum may pass where the Right-first root would have
+exceeded it.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from ..solver import (
     FinalScores,
     OutcomeClass,
     Search,
+    _union_state,
     classify,
     final_scores,
 )
@@ -360,12 +366,18 @@ def _class_is_not(
 
 def _ties_with_mirror(adj, left, right, verdicts, value, budget) -> Violation | None:
     """The board and its mirror side by side: the mirror is the same board
-    with the berths swapped, so Left holds (left, right + n)."""
+    with the berths swapped, so Left holds (left, right + n).
+
+    Only the Left-first root is searched.  Swapping the two components
+    keeps the adjacency, the piles and the plundered set and maps Left's
+    fleet onto Right's, so the Right-first root has the same value to its
+    mover."""
     berths = 1 << left | 1 << right
     tie = verdicts.get(berths)
     if tie is None:
         board = _beside(_uniform(adj, left, right, value), _uniform(adj, right, left, value))
-        tie = verdicts[berths] = _is_tie(*_search_roots(board, budget))
+        search, roots = _search_roots(board, budget)
+        tie = verdicts[berths] = _is_tie(search, roots[:1])
     if tie:
         return None
     inst = _instance(adj, left, right, value)
@@ -564,10 +576,14 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 # Distinguishing contexts
 
 
-def _left_first_score(boards: Sequence[Instance], budget: int) -> int:
-    """Final score of the boards side by side with Left first, searched alone."""
+def _left_first_sign(boards: Sequence[Instance], budget: int) -> int:
+    """Sign of the boards' final score side by side with Left first: one
+    search in the window ``(-1, 1)`` around the banked score."""
     roots = [initial_position(b, Player.LEFT) for b in boards]
-    return Search.of(boards, budget).final_score(roots, Player.LEFT)
+    banked = sum(p.score for p in roots)
+    root = _union_state(roots, Player.LEFT)
+    score = banked + Search.of(boards, budget).value(*root, -1 - banked, 1 - banked)
+    return (score > 0) - (score < 0)
 
 
 def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
@@ -578,13 +594,13 @@ def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
 
 
 def _distinguishing_check(inst: Instance, budget: int) -> Violation | None:
-    """A board's Left-first sign alone and beside its context."""
+    """A board's Left-first sign alone and beside its context.  Only a
+    violating board is worded, with both exact scores."""
     context = distinguishing_context(inst)
-    alone = _left_first_score([context], budget)
-    summed = _left_first_score([inst, context], budget)
-    sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
-    if sign(alone) != sign(summed):
+    if _left_first_sign([context], budget) != _left_first_sign([inst, context], budget):
         return None
+    alone = final_scores(context, budget=budget).left_first
+    summed = final_scores(inst, context, budget=budget).left_first
     text = serialize_instance(inst) + "+\n" + serialize_instance(context)
     expected = "Left-first result changes sign next to the context"
     return Violation(text, expected, f"alone = {alone}, summed = {summed}")

@@ -221,6 +221,18 @@ def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
         assert search.memo == {}, f"n {n}"
 
 
+def test_forced_and_stuck_states_count_against_the_budget():
+    # the gadget on a 12-vertex path from an end has only forced and stuck
+    # states: 22 of them, each counted and checked against the budget
+    path = Graph.from_edges(12, [(v, v + 1) for v in range(11)])
+    board, wt, root = gadget_bits(path.adjacency_bits, 0)
+    with pytest.raises(BudgetExceededError):
+        Search(board, wt, 21).value(*root, 0, 1)
+    search = Search(board, wt, 22)
+    assert search.value(*root, 0, 1) >= 1
+    assert search.nodes == 22
+
+
 def test_two_ship_fleets_agree_with_minimax():
     for seed in range(20):
         inst = random_instance(7, 0.6, (1, 3), 2, 1, seed=1000 + seed)

@@ -36,6 +36,7 @@ from pirates_treasure.theory import (
     random_pt_instance,
     random_ptx_instance,
 )
+from pirates_treasure.theory.families import random_uniform_bits, uniform_boards_bits
 
 _T = OutcomeClass.TIE
 _L = OutcomeClass.L
@@ -390,8 +391,53 @@ def test_self_sum_searches_each_board_beside_its_mirror(monkeypatch):
     for seed in range(60, 360):
         rng = random.Random(seed)
         boards.append(random_ptx_instance(rng.randint(2, 7), 2, rng))
-    assert seen == [_packed(inst, negate_instance(inst)) for inst in boards]
+    # only the Left-first root: swapping the components maps it onto Right-first
+    packed = [_packed(inst, negate_instance(inst)) for inst in boards]
+    assert seen == [(adj, wt, roots[:1]) for adj, wt, roots in packed]
     assert report.checked == 482 + 300 and report.passed
+
+
+def test_a_board_beside_its_mirror_is_worth_the_same_to_either_first_mover():
+    # swapping the two components maps one root onto the other, so the
+    # self-sum sweep searches the Left-first root alone; seeded draws also
+    # take mixed piles, for which the swap argument holds all the same
+    boards = [
+        (adj, left, right, sweeps._piles(n, left, right, x))
+        for n in range(2, 5)
+        for adj, left, right in uniform_boards_bits(n, range(sweeps._mask_count(n)))
+        for x in (1, 2)
+    ]
+    for seed in range(400):
+        rng = random.Random(seed)
+        adj, left, right = random_uniform_bits(rng.randint(2, 7), rng)
+        wt = [rng.choice((-1, 1, 2)) for _ in adj]
+        wt[left] = wt[right] = 0
+        boards.append((adj, left, right, wt))
+    for adj, left, right, wt in boards:
+        board = sweeps._beside((adj, wt, 1 << left, 1 << right), (adj, wt, 1 << right, 1 << left))
+        values = []
+        for root in sweeps._search_roots(board, DEFAULT_NODE_BUDGET)[1]:
+            search = Search(*board[:2], DEFAULT_NODE_BUDGET)
+            values.append(search.value(*root, -search.inf, search.inf))
+        assert values[0] == values[1], (adj, left, right, wt)
+
+
+def test_reduction_sweep_expands_the_pinned_nodes(monkeypatch):
+    # the n <= 5 gadgets: every search counted, forced and stuck states included
+    made = []
+
+    class Counting(Search):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sweeps, "Search", Counting)
+    report = check_reduction_sweep(max_n=5)
+    assert (report.checked, report.passed) == (3807, True)
+    assert sum(s.nodes for s in made) == 45744
+    assert sum(len(s.memo) for s in made) == 7226
 
 
 def _chosen(adj):
