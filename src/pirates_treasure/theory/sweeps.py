@@ -12,6 +12,10 @@ check ``check(*board, *extra)``, which returns a :class:`Violation` or
 one process pool, so splitting the work never changes the result, only
 the wall time.  No board crosses the pool, so even n = 7 sends only a few
 thousand small tuples.  Sweeps are deterministic for fixed parameters.
+The pool's modules (``concurrent.futures``, ``multiprocessing``) load on
+the first sweep run with ``jobs > 1`` over more than one block, and the
+fixture boards only in :func:`check_table_witnesses`, so importing the
+package or running a serial sweep starts neither.
 
 The reduction, uniform-value and table checks work on raw bitmasks.  The
 reduction check grafts the path gadget onto a graph's adjacency masks
@@ -42,12 +46,10 @@ exceeded it.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from .. import fixtures
 from ..algebra import negate_instance
 from ..engine import Player, initial_position
 from ..errors import ValidationError
@@ -114,14 +116,19 @@ def _sweep(
     """Check every board of every block, optionally across one process pool.
 
     Results come back in block order whatever the job count, so reports
-    are identical for any ``jobs``, which must be at least 1.
+    are identical for any ``jobs``, which must be at least 1.  The pool
+    has no more workers than there are blocks, and a single block is
+    checked in this process.
     """
     _require_at_least("jobs", jobs, 1)
     items = [(check, extra, boards, args) for boards, args in blocks]
-    if jobs == 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         results = [_block(item) for item in items]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block, items))
     checked = sum(count for count, _ in results)
     violations = [v for _, found in results for v in found]
@@ -540,6 +547,8 @@ def check_outcome_table(
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
     """The named fixture sums hit their printed classes, and together with
     their mirrors they witness every class every multi-valued cell allows."""
+    from .. import fixtures
+
     observed: dict[tuple[str, str], set[OutcomeClass]] = {}
     violations: list[Violation] = []
     checked = 0

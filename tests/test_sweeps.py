@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -167,13 +172,14 @@ def test_table_and_distinguishing_sweeps_list_each_failing_item_once_in_order(mo
 
 
 def test_jobs_do_not_change_results():
+    # every sweep spans more than one block, so jobs > 1 crosses a real pool
     sweeps_and_args = [
         (check_reduction_sweep, 3, dict(max_n=4)),
         (check_no_p_positions, 2, dict(max_exhaustive_n=3, random_trials=80, seed=9)),
         (check_no_n_positions, 2, dict(max_exhaustive_n=3, random_trials=80, seed=10)),
         (check_self_sum_tie, 2, dict(max_exhaustive_n=3, random_trials=40, seed=11)),
-        (check_outcome_table, 2, dict(trials=40, max_component_n=4, seed=12)),
-        (check_distinguishing, 2, dict(trials=40, max_n=6, seed=13)),
+        (check_outcome_table, 2, dict(trials=300, max_component_n=4, seed=12)),
+        (check_distinguishing, 2, dict(trials=300, max_n=6, seed=13)),
     ]
     for sweep, jobs, kwargs in sweeps_and_args:
         serial = sweep(jobs=1, **kwargs)
@@ -182,6 +188,77 @@ def test_jobs_do_not_change_results():
             parallel.checked,
             parallel.violations,
         ), serial.name
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, blocks",
+    [
+        (check_reduction_sweep, dict(max_n=4), 4),
+        (check_outcome_table, dict(trials=1000, max_component_n=4, seed=12), 4),
+        (check_no_p_positions, dict(max_exhaustive_n=3, random_trials=80, seed=9), 3),
+        (check_outcome_table, dict(trials=100, max_component_n=4, seed=12), 1),
+        (check_reduction_sweep, dict(max_n=1), 1),
+    ],
+)
+def test_the_pool_has_no_more_workers_than_blocks(monkeypatch, sweep, kwargs, blocks):
+    asked = []
+
+    class RecordingPool:
+        """Records the worker count it is asked for and maps in this
+        process, so no job count starts a process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # stands in even if the sweeps module ever binds the name at import
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool, raising=False)
+    serial = sweep(jobs=1, **kwargs)
+    for jobs in (2, 64, 10_000):
+        assert sweep(jobs=jobs, **kwargs) == serial
+    # one block is checked in this process and never builds a pool
+    assert asked == ([] if blocks == 1 else [min(2, blocks), blocks, blocks])
+
+
+_COLD_START = """\
+import sys
+import pirates_treasure, pirates_treasure.theory, pirates_treasure.cli
+from pirates_treasure.theory import check_outcome_table, check_table_witnesses
+
+def loaded():
+    lazy = ("concurrent.futures", "multiprocessing", "pirates_treasure.fixtures")
+    return {m for m in lazy if m in sys.modules}
+
+assert loaded() == set(), loaded()
+assert check_table_witnesses().passed
+kwargs = dict(trials=300, max_component_n=4, seed=7)
+serial = check_outcome_table(jobs=1, **kwargs)
+assert loaded() == {"pirates_treasure.fixtures"}, loaded()
+assert check_outcome_table(jobs=2, **kwargs) == serial
+assert len(loaded()) == 3, loaded()
+print("ok", serial.checked)
+"""
+
+
+def test_a_cold_import_loads_neither_the_pool_nor_the_fixtures():
+    """In a fresh interpreter the package imports without the pool's modules
+    or the fixture boards, and each loads when a sweep first needs it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "ok 300\n"
 
 
 def _report_and_block_count(monkeypatch, sweep, kwargs):
