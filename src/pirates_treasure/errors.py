@@ -2,7 +2,9 @@
 
 Everything raised on purpose by this package derives from ValueError or
 RuntimeError so callers can stay coarse-grained; the CLI maps these onto
-exit codes.
+exit codes.  An error raised in a sweep's worker process crosses the pool
+pickled, so each error rebuilds its message and attributes from its own
+constructor arguments.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.message)
 
 
 class ValidationError(ValueError):
@@ -30,3 +36,7 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, budget: int, what: str = "search"):
         super().__init__(f"{what} exceeded node budget of {budget}")
         self.budget = budget
+        self.what = what
+
+    def __reduce__(self):
+        return type(self), (self.budget, self.what)

@@ -13,10 +13,16 @@ optimal score still to come from a state, taken from the mover's side,
 so transpositions reached at different running scores share one entry.
 A state whose mover has exactly one move takes no entry: its value is
 that move's pile minus its child's, and the child holds its own entry.
-A mover with at most one ship reads its moves from one target mask, its
-ship's neighbors less the plundered vertices, so its stuck and forced
-states build no move list.  A larger fleet reads its first ship the same
-way, so it pays no extra test.
+Each ship's moves are one target mask, its neighbors less the plundered
+vertices, and no move list is ever built.  Moves are tried by pile,
+highest first, then by ship and by target, low to high: the board's
+piles are split once into tiers, one vertex mask per pile value from the
+highest down, and each tier's moves are the targets it shares with the
+ships' masks.  That is the order of a stable sort by pile of the moves
+generated ship by ship, so node counts do not depend on which of the two
+is used.  A mover with one ship reads its one mask first, so its stuck
+and forced states cost no tier walk; a larger fleet reads each ship's
+mask once.
 
 Play conventions differ only in what a stuck mover gets, read directly
 from its own side: 0 in scoring play; normal and misere play ignore
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Player, Position, Move, initial_position, moves_for, apply_move
@@ -50,7 +56,6 @@ from .model import Instance
 DEFAULT_NODE_BUDGET = 100_000_000
 
 _EXACT, _LOWER, _UPPER = 0, 1, 2
-_pile = itemgetter(0)
 
 
 class FinalScores(NamedTuple):
@@ -122,16 +127,17 @@ class Search:
     swapped, the other side to move) share one entry.
     """
 
-    __slots__ = ("adj", "wt", "n", "stuck", "inf", "memo", "nodes", "budget", "what")
+    __slots__ = ("adj", "wt", "tiers", "n", "stuck", "inf", "memo", "nodes", "budget", "what")
 
     def __init__(
         self, adj: list[int], wt: list[int], budget: int, stuck: int = 0, what: str = "solve"
     ):
         self.adj = adj
         self.wt = wt
+        self.tiers, total = _tiers(tuple(wt))
         self.n = len(adj)
         self.stuck = stuck
-        self.inf = sum(map(abs, wt)) + abs(stuck) + 1
+        self.inf = total + abs(stuck) + 1
         self.memo: dict = {}
         self.nodes = 0
         self.budget = budget
@@ -178,26 +184,49 @@ class Search:
         """Optimal score still to come for the mover, who owns the fleet mask
         ``ships``; exact within (alpha, beta).
 
-        Ships move low bit to high, each to its targets low to high, and
-        moves are tried by pile, highest first, ties in that order.  Over
-        ``n`` vertices the table key is one int,
-        ``(ships << n | others) << n | visited``, and so is the entry,
-        ``value << 2 | flag``.  A mover with one move searches its child in
-        the shifted window and builds no key: the table holds no entry for
-        a forced state, which is counted against the budget all the same.
-        The lowest ship's targets are read first, as one mask
-        ``adj[ship] & ~visited``, with ``rest`` the fleet without it.  When
-        that ship is the whole fleet, an empty mask is a stuck state and a
-        mask of one bit a forced state, and neither builds a move list.
+        Moves are tried by pile, highest first, then by ship, low bit to
+        high, then by target, low to high: the order of a stable sort by
+        pile of the moves generated ship by ship.  No move list is built or
+        sorted.  The moves are walked tier by tier, each tier the vertex
+        mask of one pile value, and a tier's moves are the targets it
+        shares with each ship's target mask ``adj[ship] & ~visited``.  The
+        walk stops on a cutoff or once every target has been tried, so the
+        tiers below the last target are never scanned.  Over ``n`` vertices
+        the table key is one int, ``(ships << n | others) << n | visited``,
+        and so is the entry, ``value << 2 | flag``.  A mover with one move
+        searches its child in the shifted window and builds no key: the
+        table holds no entry for a forced state, which is counted against
+        the budget all the same.  The lowest ship's targets are read first,
+        as one mask, with ``rest`` the fleet without it.  When that ship is
+        the whole fleet, an empty mask is a stuck state, a mask of one bit
+        a forced state, and a larger mask is walked alone.  A larger fleet
+        reads each ship's mask once, as a (fleet without the ship, mask)
+        pair, and finds its stuck and forced states from those pairs.
         """
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(self.budget, self.what)
         adj = self.adj
-        wt = self.wt
         rest = ships & ships - 1
         if rest:
             m = adj[(ships ^ rest).bit_length() - 1] & ~visited
+            pairs = [(rest, m)] if m else []
+            targets = m
+            fleet = rest
+            while fleet:
+                at = fleet & -fleet
+                fleet ^= at
+                m = adj[at.bit_length() - 1] & ~visited
+                if m:
+                    pairs.append((ships ^ at, m))
+                    targets |= m
+            if len(pairs) < 2:
+                if not pairs:
+                    return self.stuck
+                rest, m = pairs[0]
+                if not m & m - 1:
+                    w = self.wt[m.bit_length() - 1]
+                    return w - self.value(others, rest | m, visited | m, w - beta, w - alpha)
         else:
             if not ships:
                 return self.stuck
@@ -205,29 +234,13 @@ class Search:
             if not m & m - 1:
                 if not m:
                     return self.stuck
-                w = wt[m.bit_length() - 1]
+                w = self.wt[m.bit_length() - 1]
                 return w - self.value(others, m, visited | m, w - beta, w - alpha)
-        moves = []
-        fleet = rest
-        while True:
-            while m:
-                b = m & -m
-                m ^= b
-                moves.append((wt[b.bit_length() - 1], rest | b, b))
-            if not fleet:
-                break
-            at = fleet & -fleet
-            fleet ^= at
-            m = adj[at.bit_length() - 1] & ~visited
-            rest = ships ^ at
-        if not moves:
-            return self.stuck
-        if len(moves) == 1:
-            w, moved, bit = moves[0]
-            return w - self.value(others, moved, visited | bit, w - beta, w - alpha)
+            pairs = None
         n = self.n
         key = (ships << n | others) << n | visited
-        entry = self.memo.get(key)
+        memo = self.memo
+        entry = memo.get(key)
         if entry is not None:
             flag = entry & 3
             v = entry >> 2
@@ -243,25 +256,60 @@ class Search:
                     return v
                 if v < beta:
                     beta = v
-        alpha0, beta0 = alpha, beta
-        moves.sort(key=_pile, reverse=True)
+        alpha0 = alpha
         best = -self.inf
-        for w, moved, bit in moves:
-            v = w - self.value(others, moved, visited | bit, w - beta, w - alpha)
-            if v > best:
-                best = v
-                if v > alpha:
-                    alpha = v
-                    if alpha >= beta:
-                        break
-        if best <= alpha0:
-            flag = _UPPER
-        elif best >= beta0:
-            flag = _LOWER
+        if pairs is None:
+            for w, tier in self.tiers:
+                t = m & tier
+                if not t:
+                    continue
+                m ^= t
+                while t:
+                    b = t & -t
+                    t ^= b
+                    v = w - self.value(others, b, visited | b, w - beta, w - alpha)
+                    if v > best:
+                        best = v
+                        if v > alpha:
+                            if v >= beta:
+                                memo[key] = v << 2 | _LOWER
+                                return v
+                            alpha = v
+                if not m:
+                    break
         else:
-            flag = _EXACT
-        self.memo[key] = best << 2 | flag
+            for w, tier in self.tiers:
+                if not targets & tier:
+                    continue
+                targets &= ~tier
+                for rest, m in pairs:
+                    t = m & tier
+                    while t:
+                        b = t & -t
+                        t ^= b
+                        v = w - self.value(others, rest | b, visited | b, w - beta, w - alpha)
+                        if v > best:
+                            best = v
+                            if v > alpha:
+                                if v >= beta:
+                                    memo[key] = v << 2 | _LOWER
+                                    return v
+                                alpha = v
+                if not targets:
+                    break
+        # no cutoff: best is below beta
+        memo[key] = best << 2 | (_UPPER if best <= alpha0 else _EXACT)
         return best
+
+
+@lru_cache(maxsize=256)
+def _tiers(wt: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The (pile, vertex mask) tiers of a board's piles, highest pile first,
+    and the sum of the piles' absolute values."""
+    masks: dict[int, int] = {}
+    for v, w in enumerate(wt):
+        masks[w] = masks.get(w, 0) | 1 << v
+    return tuple(sorted(masks.items(), reverse=True)), sum(map(abs, wt))
 
 
 def _union_state(positions: Sequence[Position], mover: Player) -> tuple[int, int, int]:

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Sequence
 
 from ..algebra import negate_instance
 from ..engine import Player, initial_position
-from ..errors import ValidationError
+from ..errors import BudgetExceededError, ValidationError
 from ..model import Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
@@ -118,18 +118,23 @@ def _sweep(
     Results come back in block order whatever the job count, so reports
     are identical for any ``jobs``, which must be at least 1.  The pool
     has no more workers than there are blocks, and a single block is
-    checked in this process.
+    checked in this process.  A search past its node budget is reported
+    as the sweep's, ``<name> sweep exceeded node budget of <budget>``,
+    whatever the job count.
     """
     _require_at_least("jobs", jobs, 1)
     items = [(check, extra, boards, args) for boards, args in blocks]
     workers = min(jobs, len(items))
-    if workers <= 1:
-        results = [_block(item) for item in items]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers <= 1:
+            results = [_block(item) for item in items]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block, items))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_block, items))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.budget, f"{name} sweep") from None
     checked = sum(count for count, _ in results)
     violations = [v for _, found in results for v in found]
     return SweepReport(name, checked, violations, params)
@@ -556,8 +561,11 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
         components = [b() for b in builders]
         for mirrored in (False, True):
             comps = [negate_instance(c) for c in components] if mirrored else components
-            summand_classes = [classify(final_scores(c, budget=budget)) for c in comps]
-            got = classify(final_scores(*comps, budget=budget))
+            try:
+                summand_classes = [classify(final_scores(c, budget=budget)) for c in comps]
+                got = classify(final_scores(*comps, budget=budget))
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(exc.budget, "table-witnesses sweep") from None
             key = tuple(sorted(c.value for c in summand_classes))
             observed.setdefault(key, set()).add(got)
             checked += 1

@@ -293,6 +293,22 @@ def test_budget_exit_three(capsys, fixtures_dir):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_budget_error_names_the_sweep_at_any_job_count(capsys, monkeypatch, jobs):
+    # the error crosses the pool pickled and must read as it does in one process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "pt-x", "--max-n", "5", "--seeds", "0", "--max-nodes", "1", "--jobs", jobs]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: pt-x sweep exceeded node budget of 1\n")
+
+
+def test_table_witnesses_budget_error_names_its_sweep(capsys):
+    # one table trial fits in 20 nodes; the fixture witnesses do not
+    argv = ["verify", "table", "--max-n", "3", "--seeds", "1", "--max-nodes", "20"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: table-witnesses sweep exceeded node budget of 20\n")
+
+
 def test_bad_weight_range_exits_two(capsys):
     code, _, err = run(capsys, "generate", "random", "--n", "4", "--weights", "nope")
     assert code == 2

@@ -233,6 +233,58 @@ def test_forced_and_stuck_states_count_against_the_budget():
     assert search.nodes == 22
 
 
+class _Recording(Search):
+    """A search that records, in order, the children its root visits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.depth = 0
+        self.children = []
+
+    def value(self, ships, others, visited, alpha, beta):
+        if self.depth == 1:
+            self.children.append((others, visited))
+        self.depth += 1
+        try:
+            return super().value(ships, others, visited, alpha, beta)
+        finally:
+            self.depth -= 1
+
+
+@pytest.mark.parametrize("stuck", [0, 1, -1])
+@pytest.mark.parametrize("fleet", [1, 2, 3])
+def test_moves_are_tried_by_pile_then_ship_then_target(fleet, stuck):
+    # the order of a stable sort, highest pile first, of the moves generated
+    # ship by ship and target by target; under stuck = ±1 every pile is 0
+    shared_tiers = 0
+    for seed in range(12):
+        inst = random_instance(10, 0.5, (-2, 2), fleet, 2, seed=seed)
+        piles = [0] * 10 if stuck else inst.pile_values
+        for first in (L, R):
+            pos = initial_position(inst, first)
+            ships, others, visited = root = _union_state((pos,), first)
+            search = _Recording.of([inst], DEFAULT_NODE_BUDGET, stuck=stuck)
+            wide = search.inf + 1  # no cutoff at the root: every child is tried
+            search.value(*root, -wide, wide)
+            tried = [
+                ((ships & ~moved).bit_length() - 1, (seen ^ visited).bit_length() - 1)
+                for moved, seen in search.children
+            ]
+            generated = [
+                (at, to)
+                for at in pos.ships_of(first)
+                for to in range(10)
+                if inst.graph.adjacency_bits[at] >> to & 1 and not visited >> to & 1
+            ]
+            assert tried == sorted(generated, key=lambda move: -piles[move[1]]), (seed, first)
+            movers = {}
+            for at, to in generated:
+                movers.setdefault(piles[to], set()).add(at)
+            shared_tiers += any(len(ships_at) > 1 for ships_at in movers.values())
+    # the order of two ships' moves of one pile is pinned too
+    assert shared_tiers > 0
+
+
 def test_two_ship_fleets_agree_with_minimax():
     for seed in range(20):
         inst = random_instance(7, 0.6, (1, 3), 2, 1, seed=1000 + seed)

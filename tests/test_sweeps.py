@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from pirates_treasure.algebra import negate_instance
 from pirates_treasure.engine import Player, initial_position
-from pirates_treasure.errors import BudgetExceededError, ValidationError
+from pirates_treasure.errors import BudgetExceededError, ParseError, ValidationError
 from pirates_treasure.model import Instance, serialize_instance
 from pirates_treasure.solver import (
     DEFAULT_NODE_BUDGET,
@@ -674,6 +675,21 @@ def test_the_node_budget_bounds_the_class_test_not_the_exact_scores():
             final_scores(inst, budget=5)
     with pytest.raises(BudgetExceededError):
         check_no_p_positions(max_exhaustive_n=4, random_trials=0, budget=2)
+
+
+@pytest.mark.parametrize(
+    "error, attrs",
+    [
+        (BudgetExceededError(7, "pt-x sweep"), {"budget": 7, "what": "pt-x sweep"}),
+        (ParseError(3, "expected an integer, got 'x'"), {"line_no": 3}),
+    ],
+)
+def test_errors_survive_a_pickle_round_trip(error, attrs):
+    # a worker's error reaches the sweep through pickle, as pool.map sends it
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert {key: getattr(back, key) for key in attrs} == attrs
 
 
 @pytest.mark.parametrize("jobs", [0, -5])
