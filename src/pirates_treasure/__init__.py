@@ -18,7 +18,6 @@ from .algebra import (
     negate_instance,
     negate_tree,
     render_tree,
-    shift_tree,
     sum_apply,
     sum_legal_moves,
     sum_position,
@@ -112,7 +111,6 @@ __all__ = [
     "render_tree",
     "serialize_graph",
     "serialize_instance",
-    "shift_tree",
     "solve",
     "solve_sum",
     "sum_apply",

@@ -145,25 +145,12 @@ def negate_instance(inst: Instance) -> Instance:
     )
 
 
-def shift_tree(t: GameTree, delta: int) -> GameTree:
-    """Add ``delta`` to every score in the tree (a banked-points transfer)."""
-
-    @cache
-    def shift(node: GameTree) -> GameTree:
-        return GameTree(
-            node.score + delta,
-            frozenset(shift(o) for o in node.left_options),
-            frozenset(shift(o) for o in node.right_options),
-        )
-
-    return shift(t)
-
-
 def sum_trees(g: GameTree, h: GameTree, budget: int = DEFAULT_EXPANSION_BUDGET) -> GameTree:
     """Disjunctive sum by the defining recursion.
 
     A player moves in exactly one summand, scores add, and the game ends
-    for a player only when they are stuck in both.
+    for a player only when they are stuck in both.  Adding a number ``d``
+    to a game is the sum with ``leaf(d)``: every score moves by ``d``.
     """
     counter = [0]
 

@@ -3,7 +3,8 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 when the
 command succeeds (and any checked claim holds), 1 when a verification
 sweep finds a violation, 2 on usage or input errors, 3 when a node
-budget runs out or a game runs deeper than the recursive search can go.
+budget runs out, a game runs deeper than the recursive search can go or
+a sweep loses a worker process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .algebra import (
+    DEFAULT_EXPANSION_BUDGET,
     SumPosition,
     extract_tree,
     negate_instance,
@@ -23,7 +25,7 @@ from .algebra import (
     sum_position,
 )
 from .engine import Move, Player, Position, apply_move, format_move, initial_position
-from .errors import BudgetExceededError, ParseError, ValidationError
+from .errors import BudgetExceededError, ParseError, ValidationError, WorkerLostError
 from .model import (
     GridSpec,
     Instance,
@@ -53,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, WorkerLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="bracket form of the full game tree")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=_node_budget, default=1_000_000)
+    p.add_argument("--max-nodes", type=_node_budget, default=DEFAULT_EXPANSION_BUDGET)
     p.set_defaults(run=_cmd_tree)
 
     p = sub.add_parser("negate", help="mirror a board (swap fleets, negate score)")

@@ -40,3 +40,7 @@ class BudgetExceededError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.budget, self.what)
+
+
+class WorkerLostError(RuntimeError):
+    """A sweep's process pool lost a worker process before the sweep ended."""

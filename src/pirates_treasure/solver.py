@@ -147,21 +147,15 @@ class Search:
     def of(
         cls, boards: Iterable[Instance], budget: int, stuck: int = 0, what: str = "solve"
     ) -> Search:
-        """A search over boards side by side: component ``i`` keeps its own
-        vertex numbering, shifted up by the vertex counts of the components
-        before it.  A nonzero ``stuck`` makes all treasure worth 0."""
-        adj: list[int] = []
-        wt: list[int] = []
-        for inst in boards:
-            offset = len(adj)
-            bits = inst.graph.adjacency_bits
-            adj += [b << offset for b in bits] if offset else bits
-            wt += [0] * inst.graph.vertex_count if stuck else inst.pile_values
+        """A search over boards side by side, laid out by :func:`_beside`:
+        component ``i`` keeps its own vertex numbering, shifted up by the
+        vertex counts of the components before it.  A nonzero ``stuck``
+        makes all treasure worth 0."""
+        adj, wt, _, _ = _beside(*(
+            (b.graph.adjacency_bits, [0] * b.graph.vertex_count if stuck else b.pile_values, 0, 0)
+            for b in boards
+        ))
         return cls(adj, wt, budget, stuck, what)
-
-    def final_score(self, positions: Sequence[Position], to_move: Player) -> int:
-        """Terminal score under best play from the positions side by side."""
-        return self.root(positions, to_move)[0]
 
     def root(
         self, positions: Sequence[Position], to_move: Player
@@ -209,6 +203,7 @@ class Search:
         adj = self.adj
         rest = ships & ships - 1
         if rest:
+            # the lowest ship is read before the loop: one loop over the fleet cost solve 5%
             m = adj[(ships ^ rest).bit_length() - 1] & ~visited
             pairs = [(rest, m)] if m else []
             targets = m
@@ -312,6 +307,22 @@ def _tiers(wt: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple(sorted(masks.items(), reverse=True)), sum(map(abs, wt))
 
 
+def _beside(*boards) -> tuple[list[int], list[int], int, int]:
+    """Bitmask boards side by side as one, each (adjacency, piles, Left's
+    fleet mask, Right's fleet mask): each board's vertices are shifted up
+    by the vertex counts of the boards before it."""
+    adj: list[int] = []
+    wt: list[int] = []
+    lefts = rights = 0
+    for board_adj, board_wt, board_lefts, board_rights in boards:
+        offset = len(adj)
+        adj += [b << offset for b in board_adj]
+        wt += board_wt
+        lefts |= board_lefts << offset
+        rights |= board_rights << offset
+    return adj, wt, lefts, rights
+
+
 def _union_state(positions: Sequence[Position], mover: Player) -> tuple[int, int, int]:
     """Packed (mover's fleet, other fleet, plundered mask) of boards side by
     side, each a vertex mask.  A mask holds one ship per vertex, so two ships
@@ -347,7 +358,7 @@ def final_scores(*boards: Instance, budget: int = DEFAULT_NODE_BUDGET) -> FinalS
     """
     search = Search.of(boards, budget)
     return FinalScores._make(
-        search.final_score([initial_position(b, first) for b in boards], first)
+        search.root([initial_position(b, first) for b in boards], first)[0]
         for first in (Player.LEFT, Player.RIGHT)
     )
 

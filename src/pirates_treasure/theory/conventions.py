@@ -15,8 +15,8 @@ answers for both first movers: ``solver.report`` returns that score with
 the moves that keep the mover's value, which are the winning moves in a
 won game and every move in a lost one.  :func:`normal_outcome` and
 :func:`misere_outcome` ask the winner alone: the sign of
-``Search.final_score``, whose window ``(-1, 1)`` in a ±1 game always
-returns a bound of the right sign.  :func:`convention_best_moves` asks
+the score from ``Search.root``, whose window ``(-1, 1)`` in a ±1 game
+always returns a bound of the right sign.  :func:`convention_best_moves` asks
 one first mover's best moves alone: its root, then the same keep-the-value
 test of each first move.
 """
@@ -48,7 +48,7 @@ def _search(sp: SumPosition, misere: bool, budget: int) -> Search:
 
 
 def _winner(sp: SumPosition, misere: bool, budget: int) -> Player:
-    return _sign(_search(sp, misere, budget).final_score(sp.components, sp.to_move))
+    return _sign(_search(sp, misere, budget).root(sp.components, sp.to_move)[0])
 
 
 def _sign(score: int) -> Player:

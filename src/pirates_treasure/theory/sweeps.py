@@ -10,8 +10,8 @@ check ``check(*board, *extra)``, which returns a :class:`Violation` or
 ``None``.  It counts the boards and keeps the violations in board order;
 :func:`_sweep` adds up the blocks in item order, in this process or over
 one process pool, so splitting the work never changes the result, only
-the wall time.  No board crosses the pool, so even n = 7 sends only a few
-thousand small tuples.  Sweeps are deterministic for fixed parameters.
+the wall time.  No board crosses the pool, so even n = 7 sends only
+8,192 small tuples.  Sweeps are deterministic for fixed parameters.
 The pool's modules (``concurrent.futures``, ``multiprocessing``) load on
 the first sweep run with ``jobs > 1`` over more than one block, and the
 fixture boards only in :func:`check_table_witnesses`, so importing the
@@ -52,13 +52,14 @@ from typing import Callable, Iterator, Sequence
 
 from ..algebra import negate_instance
 from ..engine import Player, initial_position
-from ..errors import BudgetExceededError, ValidationError
+from ..errors import BudgetExceededError, ValidationError, WorkerLostError
 from ..model import Instance, serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
     Search,
+    _beside,
     _union_state,
     classify,
     final_scores,
@@ -120,7 +121,9 @@ def _sweep(
     has no more workers than there are blocks, and a single block is
     checked in this process.  A search past its node budget is reported
     as the sweep's, ``<name> sweep exceeded node budget of <budget>``,
-    whatever the job count.
+    whatever the job count.  A pool that loses a worker process raises
+    :class:`~pirates_treasure.errors.WorkerLostError`,
+    ``<name> sweep lost a worker process``.
     """
     _require_at_least("jobs", jobs, 1)
     items = [(check, extra, boards, args) for boards, args in blocks]
@@ -129,10 +132,13 @@ def _sweep(
         if workers <= 1:
             results = [_block(item) for item in items]
         else:
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_block, items))
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(_block, items))
+            except BrokenExecutor:
+                raise WorkerLostError(f"{name} sweep lost a worker process") from None
     except BudgetExceededError as exc:
         raise BudgetExceededError(exc.budget, f"{name} sweep") from None
     checked = sum(count for count, _ in results)
@@ -164,10 +170,16 @@ def _require_at_least(key: str, value: int, least: int) -> None:
         raise ValidationError(f"{key} must be at least {least}, got {value}")
 
 
-def _blocks(start: int, stop: int, size: int) -> Iterator[range]:
-    """[start, stop) in consecutive ranges of ``size``, the last one shorter."""
-    for first in range(start, stop, size):
-        yield range(first, min(first + size, stop))
+#: Edge masks or seeds per item of every sweep: small enough that the
+#: default exhaustive sizes (n <= 5, 1,024 masks at 5) still spread over
+#: two workers.  The reduction makes 136 items at n <= 6 and 8,192 at n = 7.
+_BLOCK = 256
+
+
+def _blocks(start: int, stop: int) -> Iterator[range]:
+    """[start, stop) in consecutive ranges of ``_BLOCK``, the last one shorter."""
+    for first in range(start, stop, _BLOCK):
+        yield range(first, min(first + _BLOCK, stop))
 
 
 def _mask_count(n: int) -> int:
@@ -177,10 +189,6 @@ def _mask_count(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Reduction sweep: solver verdict vs path oracle
-
-
-#: Edge masks per reduction item: n = 7 makes 2,048 items, n <= 6 makes 37.
-_REDUCTION_BLOCK = 1024
 
 
 def _berths(n: int, masks: range) -> Iterator[tuple[list[int], int]]:
@@ -208,7 +216,7 @@ def check_reduction_sweep(
     """Exhaustive: every connected labeled graph up to max_n, every berth.
 
     ``max_n`` lies in 1..7, the sizes exhaustive enumeration supports.
-    The graphs come in ascending edge-mask order, in blocks of 1,024
+    The graphs come in ascending edge-mask order, in blocks of 256
     masks, each enumerated and checked by its worker.
     """
     if not 1 <= max_n <= MAX_ENUMERATION_N:
@@ -218,7 +226,7 @@ def check_reduction_sweep(
     blocks = [
         (_berths, (n, masks))
         for n in range(1, max_n + 1)
-        for masks in _blocks(0, _mask_count(n), _REDUCTION_BLOCK)
+        for masks in _blocks(0, _mask_count(n))
     ]
     return _sweep("reduction", _gadget_check, (budget,), blocks, jobs, {"max_n": max_n})
 
@@ -227,15 +235,9 @@ def check_reduction_sweep(
 # Uniform-value families: one driver, one check per board
 
 
-#: Edge masks or seeds per item of every sweep but the reduction: small
-#: enough that the default exhaustive sizes (n <= 5, 1,024 masks at 5)
-#: still spread over two workers.
-_UNIFORM_BLOCK = 256
-
-
 def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
     """Blocks of ``trials`` consecutive seeds from ``seed``, for ``boards(seeds, *args)``."""
-    return [(boards, (seeds, *args)) for seeds in _blocks(seed, seed + trials, _UNIFORM_BLOCK)]
+    return [(boards, (seeds, *args)) for seeds in _blocks(seed, seed + trials)]
 
 
 def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
@@ -268,7 +270,7 @@ def _uniform_sweep(
     blocks = [
         (uniform_boards_bits, (n, masks))
         for n in range(2, max_exhaustive_n + 1)
-        for masks in _blocks(0, _mask_count(n), _UNIFORM_BLOCK)
+        for masks in _blocks(0, _mask_count(n))
     ]
     blocks += _seeded(_drawn, seed, random_trials, random_max_n)
     blocks = [(_twins, (boards, *args)) for boards, args in blocks]
@@ -311,21 +313,6 @@ def _piles(n: int, left: int, right: int, value: int) -> list[int]:
 def _uniform(adj, left, right, value) -> tuple[list[int], list[int], int, int]:
     """A uniform board on bitmasks: adjacency, piles, Left's and Right's fleet masks."""
     return adj, _piles(len(adj), left, right, value), 1 << left, 1 << right
-
-
-def _beside(*boards) -> tuple[list[int], list[int], int, int]:
-    """Bitmask boards side by side as one: each board's vertices are
-    shifted up by the vertex counts of the boards before it."""
-    adj: list[int] = []
-    wt: list[int] = []
-    lefts = rights = 0
-    for board_adj, board_wt, board_lefts, board_rights in boards:
-        offset = len(adj)
-        adj += [b << offset for b in board_adj]
-        wt += board_wt
-        lefts |= board_lefts << offset
-        rights |= board_rights << offset
-    return adj, wt, lefts, rights
 
 
 def _search_roots(board, budget) -> tuple[Search, tuple]:

@@ -183,7 +183,7 @@ def test_08_search_matches_reference_on_a_thousand_boards():
         )
         for first in (L, R):
             pos = initial_position(inst, first)
-            fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+            fast = Search.of([inst], DEFAULT_NODE_BUDGET).root((pos,), pos.to_move)[0]
             if fast != minimax_final_score(pos):
                 mismatches += 1
         checked += 1

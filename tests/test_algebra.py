@@ -11,7 +11,6 @@ from pirates_treasure.algebra import (
     negate_instance,
     negate_tree,
     render_tree,
-    shift_tree,
     solve_sum,
     sum_apply,
     sum_legal_moves,
@@ -101,7 +100,7 @@ def test_shift_tree_matches_initial_score():
     shifted_inst = dataclasses.replace(inst, initial_score=5)
     assert (
         extract_tree(initial_position(shifted_inst, L))
-        == shift_tree(extract_tree(initial_position(inst, L)), 5)
+        == sum_trees(extract_tree(initial_position(inst, L)), leaf(5))
     )
 
 

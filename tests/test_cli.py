@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures.process
 import os
 import time
 import types
@@ -300,6 +301,29 @@ def test_sweep_budget_error_names_the_sweep_at_any_job_count(capsys, monkeypatch
     argv = ["verify", "pt-x", "--max-n", "5", "--seeds", "0", "--max-nodes", "1", "--jobs", jobs]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", "error: pt-x sweep exceeded node budget of 1\n")
+
+
+def test_a_lost_pool_worker_exits_three_naming_the_sweep(capsys, monkeypatch):
+    class BrokenPool:
+        """A pool whose worker died: ``map`` raises as a real pool's does."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise concurrent.futures.process.BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    argv = ["verify", "pt-x", "--max-n", "5", "--seeds", "0", "--jobs", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: pt-x sweep lost a worker process\n")
 
 
 def test_table_witnesses_budget_error_names_its_sweep(capsys):

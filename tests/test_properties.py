@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from pirates_treasure.algebra import (
     extract_tree,
+    leaf,
     negate_instance,
     negate_tree,
-    shift_tree,
     solve_sum,
     sum_position,
     sum_trees,
@@ -94,7 +94,7 @@ def test_parser_raises_only_its_own_errors(text):
 def test_alpha_beta_agrees_with_reference_minimax(inst):
     for first in (L, R):
         pos = initial_position(inst, first)
-        fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+        fast = Search.of([inst], DEFAULT_NODE_BUDGET).root((pos,), pos.to_move)[0]
         assert fast == minimax_final_score(pos)
 
 
@@ -102,7 +102,7 @@ def test_alpha_beta_agrees_with_reference_minimax(inst):
 @given(boards(max_vertices=6, max_ships=2))
 def test_fleets_agree_with_reference_minimax(inst):
     pos = initial_position(inst, L)
-    fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+    fast = Search.of([inst], DEFAULT_NODE_BUDGET).root((pos,), pos.to_move)[0]
     assert fast == minimax_final_score(pos)
 
 
@@ -159,7 +159,7 @@ def test_shift_matches_initial_score(inst, delta):
     shifted = dataclasses.replace(inst, initial_score=inst.initial_score + delta)
     assert (
         extract_tree(initial_position(shifted, L))
-        == shift_tree(extract_tree(initial_position(inst, L)), delta)
+        == sum_trees(extract_tree(initial_position(inst, L)), leaf(delta))
     )
 
 

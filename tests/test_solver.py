@@ -164,7 +164,7 @@ def test_alpha_beta_matches_plain_minimax():
     for i, inst in enumerate(boards + _corridor_boards()):
         for first in (L, R):
             pos = initial_position(inst, first)
-            fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+            fast = Search.of([inst], DEFAULT_NODE_BUDGET).root((pos,), pos.to_move)[0]
             assert fast == minimax_final_score(pos), f"board {i}, {first} first"
 
 
@@ -178,7 +178,7 @@ def test_forced_states_take_no_table_entry():
         for first in (L, R):
             pos = initial_position(inst, first)
             search = Search.of([inst], DEFAULT_NODE_BUDGET)
-            assert search.final_score((pos,), first) == minimax_final_score(pos), f"n {n}"
+            assert search.root((pos,), first)[0] == minimax_final_score(pos), f"n {n}"
             assert search.memo == {}, f"n {n}, {first} first"
 
 
@@ -194,7 +194,7 @@ def test_board_of_zero_piles_is_solved_unsearched():
     assert report.nodes_expanded == 0
     search = Search.of([inst], budget=0)
     for first in (L, R):
-        assert search.final_score([initial_position(inst, first)], first) == 0
+        assert search.root([initial_position(inst, first)], first)[0] == 0
     assert search.nodes == 0
     assert final_scores(inst, budget=0) == FinalScores(0, 0)
 
@@ -289,7 +289,7 @@ def test_two_ship_fleets_agree_with_minimax():
     for seed in range(20):
         inst = random_instance(7, 0.6, (1, 3), 2, 1, seed=1000 + seed)
         pos = initial_position(inst, L)
-        fast = Search.of([inst], DEFAULT_NODE_BUDGET).final_score((pos,), pos.to_move)
+        fast = Search.of([inst], DEFAULT_NODE_BUDGET).root((pos,), pos.to_move)[0]
         assert fast == minimax_final_score(pos)
 
 
@@ -349,7 +349,7 @@ def test_left_wins_matches_sign_of_final_score():
         for stuck in (0, -1, 1):
             for first in (L, R):
                 roots = [initial_position(inst, first)]
-                exact = Search.of([inst], 10**6, stuck=stuck).final_score(roots, first)
+                exact = Search.of([inst], 10**6, stuck=stuck).root(roots, first)[0]
                 wins = _reaches(Search.of([inst], 10**6, stuck=stuck), roots, first, 1)
                 assert wins == (exact > 0), f"seed {seed}, stuck {stuck}, {first} first"
 
@@ -361,7 +361,7 @@ def test_zero_window_values_match_thresholds_of_final_score():
         for stuck in (0, -1, 1):
             for first in (L, R):
                 roots = [initial_position(inst, first)]
-                exact = Search.of([inst], 10**6, stuck=stuck).final_score(roots, first)
+                exact = Search.of([inst], 10**6, stuck=stuck).root(roots, first)[0]
                 shared = Search.of([inst], 10**6, stuck=stuck)
                 for t in range(exact - 2, exact + 3):
                     why = f"board {i}, stuck {stuck}, {first} first, target {t}"
@@ -417,7 +417,7 @@ def test_sum_best_moves_match_full_window_values():
             for sm in sum_legal_moves(sp):
                 child = sum_apply(sp, sm)
                 search = Search.of([c.instance for c in child.components], 10**6)
-                values.append((sm, search.final_score(child.components, child.to_move)))
+                values.append((sm, search.root(child.components, child.to_move)[0]))
             if not values:
                 assert best == frozenset()
                 continue

@@ -289,8 +289,7 @@ def _report_and_block_count(monkeypatch, sweep, kwargs):
 )
 def test_block_sizes_never_change_a_report(monkeypatch, sweep, kwargs):
     default, default_blocks = _report_and_block_count(monkeypatch, sweep, kwargs)
-    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
-    monkeypatch.setattr(sweeps, "_REDUCTION_BLOCK", 3)
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
     small, small_blocks = _report_and_block_count(monkeypatch, sweep, kwargs)
     assert small == default
     assert small_blocks > default_blocks
@@ -301,7 +300,7 @@ def test_block_edges_keep_the_violation_order(monkeypatch):
     monkeypatch.setattr(sweeps, "_is_p", lambda search, roots: sum(search.adj) % 3 == 0)
     kwargs = dict(max_exhaustive_n=4, random_trials=40, random_max_n=6, seed=9, jobs=1)
     default = check_no_p_positions(**kwargs)
-    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
     small = check_no_p_positions(**kwargs)
     assert 0 < len(small.violations) < small.checked == default.checked
     assert small.violations == default.violations
@@ -531,7 +530,7 @@ def _holds_on_chosen_graphs(search, roots):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_berth_twins_are_each_reported_in_enumeration_order(monkeypatch, jobs):
     monkeypatch.setattr(sweeps, "_is_p", _holds_on_chosen_graphs)
-    monkeypatch.setattr(sweeps, "_UNIFORM_BLOCK", 7)
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
     report = check_no_p_positions(
         max_exhaustive_n=4, random_trials=30, random_max_n=6, seed=21, jobs=jobs
     )
@@ -611,7 +610,7 @@ def test_class_predicates_match_the_exact_class(stuck):
         starts = [(initial_position(inst, first), first) for first in (Player.LEFT, Player.RIGHT)]
         if stuck:
             exact = Search.of([inst], DEFAULT_NODE_BUDGET, stuck)
-            got = classify(FinalScores(*(exact.final_score([p], first) for p, first in starts)))
+            got = classify(FinalScores(*(exact.root([p], first)[0] for p, first in starts)))
         else:
             got = classify(final_scores(inst))
         classes[got] += 1
