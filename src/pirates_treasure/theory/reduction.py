@@ -7,6 +7,8 @@ the path vertex next to L and is forced down the path with |V(G)| - 2
 piles to take; Left roams G with up to |V(G)| - 1.  Left can finish one
 pile ahead exactly when G has a Hamiltonian path starting at L; otherwise
 the game ends level the moment Left runs out of fresh vertices.
+:func:`gadget_board` gives the same games on bitmasks, one board for
+every berth of a graph, each berth a root on it.
 """
 
 from __future__ import annotations
@@ -39,28 +41,34 @@ def reduce_from_hampath(g: Graph, left_start: int) -> Instance:
     )
 
 
-def gadget_bits(
-    adj: Sequence[int], left_start: int
-) -> tuple[list[int], list[int], tuple[int, int, int]]:
-    """The board of :func:`reduce_from_hampath`, straight from the graph's
-    neighbor bitmasks: its adjacency, its pile values (0 on the berths) and
-    its packed root with Left to move, ready for :class:`Search`.
-    The root is three vertex masks: Left's fleet, Right's fleet and the
-    plundered vertices."""
+def gadget_board(
+    adj: Sequence[int],
+) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """The boards of :func:`reduce_from_hampath` for every berth at once,
+    straight from the graph's neighbor bitmasks: one adjacency, one list
+    of pile values and, at index ``L``, berth ``L``'s packed root with
+    Left to move, ready for one :class:`Search`.  A root is three vertex
+    masks: Left's fleet, Right's fleet and the plundered vertices.
+
+    The path's fresh vertices ``n .. 2n - 2`` lie beside the graph, not
+    grafted onto it.  The graft's one edge joins the berth ``L`` to
+    Right's berth ``n``, and both are plundered at the root, so no ship
+    ever crosses it: the board without it plays the same game from every
+    berth's root.  Every pile is 1 except Right's berth; ``L``'s pile is
+    never taken.  A one-vertex graph has no path and no Right ship.
+    """
     n = len(adj)
     board = list(adj)
     wt = [1] * (2 * n - 1)
-    wt[left_start] = 0
-    left = 1 << left_start
     if n < 2:
-        return board, wt, (left, 0, left)
+        return board, wt, [(1, 0, 1)]
     wt[n] = 0
-    prev = left_start
-    for fresh in range(n, 2 * n - 1):
-        board[prev] |= 1 << fresh
-        board.append(1 << prev)
-        prev = fresh
-    return board, wt, (left, 1 << n, left | 1 << n)
+    board += [0] * (n - 1)
+    for fresh in range(n, 2 * n - 2):
+        board[fresh] |= 1 << fresh + 1
+        board[fresh + 1] |= 1 << fresh
+    right = 1 << n
+    return board, wt, [(1 << berth, right, 1 << berth | right) for berth in range(n)]
 
 
 def hampath_oracle(g: Graph, start: int | None = None) -> bool:

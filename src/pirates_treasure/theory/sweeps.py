@@ -18,8 +18,10 @@ fixture boards only in :func:`check_table_witnesses`, so importing the
 package or running a serial sweep starts neither.
 
 The reduction, uniform-value and table checks work on raw bitmasks.  The
-reduction check grafts the path gadget onto a graph's adjacency masks
-and sets one zero-window search against the path oracle.  A uniform
+reduction builds one gadget board and one search per graph
+(:func:`~.reduction.gadget_board`) and sets each berth's packed root on
+it, one zero-window search each, against the path oracle; the berths of
+a graph share the search's table.  A uniform
 check (no P positions when every pile is worth x > 0, no N positions at
 -x, a board plus its mirror ties) asks only its own question: it packs
 the two roots, each three vertex masks (mover's fleet, other fleet,
@@ -74,7 +76,7 @@ from .families import (
     uniform_boards_bits,
     uniform_instance,
 )
-from .reduction import gadget_bits, hampath_from
+from .reduction import gadget_board, hampath_from
 
 
 @dataclass(frozen=True)
@@ -191,18 +193,21 @@ def _mask_count(n: int) -> int:
 # Reduction sweep: solver verdict vs path oracle
 
 
-def _berths(n: int, masks: range) -> Iterator[tuple[list[int], int]]:
+def _berths(n: int, masks: range, budget: int) -> Iterator[tuple[Search, tuple, list[int], int]]:
     """Every connected n-vertex graph whose edge mask lies in ``masks``,
-    once per berth."""
+    once per berth, with the graph's one gadget search and the berth's
+    packed root on it.  The berths of one graph share that search's table
+    and its node budget."""
     for adj in connected_adjacencies(n, masks):
-        for berth in range(n):
-            yield adj, berth
+        board, wt, roots = gadget_board(adj)
+        search = Search(board, wt, budget)
+        for berth, root in enumerate(roots):
+            yield search, root, adj, berth
 
 
-def _gadget_check(adj, berth, budget) -> Violation | None:
+def _gadget_check(search, root, adj, berth) -> Violation | None:
     """The gadget's Left-first verdict against the path oracle."""
-    board, wt, root = gadget_bits(adj, berth)
-    solver_says = Search(board, wt, budget).value(*root, 0, 1) >= 1
+    solver_says = search.value(*root, 0, 1) >= 1
     oracle_says = hampath_from(adj, berth)
     if solver_says == oracle_says:
         return None
@@ -217,18 +222,20 @@ def check_reduction_sweep(
 
     ``max_n`` lies in 1..7, the sizes exhaustive enumeration supports.
     The graphs come in ascending edge-mask order, in blocks of 256
-    masks, each enumerated and checked by its worker.
+    masks, each enumerated and checked by its worker.  Each graph gets
+    one gadget board and one search, and every berth is a root on it, so
+    ``budget`` bounds the nodes of one graph over all its berths.
     """
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise ValidationError(
             f"reduction sweep supports 1 <= max_n <= {MAX_ENUMERATION_N}, got {max_n}"
         )
     blocks = [
-        (_berths, (n, masks))
+        (_berths, (n, masks, budget))
         for n in range(1, max_n + 1)
         for masks in _blocks(0, _mask_count(n))
     ]
-    return _sweep("reduction", _gadget_check, (budget,), blocks, jobs, {"max_n": max_n})
+    return _sweep("reduction", _gadget_check, (), blocks, jobs, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------

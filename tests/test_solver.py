@@ -33,7 +33,7 @@ from pirates_treasure.solver import (
     minimax_final_score,
     solve,
 )
-from pirates_treasure.theory.reduction import gadget_bits
+from pirates_treasure.theory.reduction import gadget_board
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -212,10 +212,10 @@ def test_report_packs_each_root_once(monkeypatch):
 
 
 def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
-    # Left walks the path while Right walks the grafted one: all forced
+    # Left walks the path while Right walks the fresh one: all forced
     for n in range(2, 13):
         path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-        board, wt, root = gadget_bits(path.adjacency_bits, 0)
+        board, wt, (root, *_) = gadget_board(path.adjacency_bits)
         search = Search(board, wt, DEFAULT_NODE_BUDGET)
         assert search.value(*root, 0, 1) >= 1, f"n {n}"
         assert search.memo == {}, f"n {n}"
@@ -225,7 +225,7 @@ def test_forced_and_stuck_states_count_against_the_budget():
     # the gadget on a 12-vertex path from an end has only forced and stuck
     # states: 22 of them, each counted and checked against the budget
     path = Graph.from_edges(12, [(v, v + 1) for v in range(11)])
-    board, wt, root = gadget_bits(path.adjacency_bits, 0)
+    board, wt, (root, *_) = gadget_board(path.adjacency_bits)
     with pytest.raises(BudgetExceededError):
         Search(board, wt, 21).value(*root, 0, 1)
     search = Search(board, wt, 22)

@@ -42,7 +42,12 @@ from pirates_treasure.theory import (
     random_pt_instance,
     random_ptx_instance,
 )
-from pirates_treasure.theory.families import random_uniform_bits, uniform_boards_bits
+from pirates_treasure.theory.families import (
+    connected_adjacencies,
+    random_uniform_bits,
+    uniform_boards_bits,
+)
+from pirates_treasure.theory.reduction import gadget_board
 
 _T = OutcomeClass.TIE
 _L = OutcomeClass.L
@@ -513,8 +518,25 @@ def test_reduction_sweep_expands_the_pinned_nodes(monkeypatch):
     monkeypatch.setattr(sweeps, "Search", Counting)
     report = check_reduction_sweep(max_n=5)
     assert (report.checked, report.passed) == (3807, True)
-    assert sum(s.nodes for s in made) == 45744
-    assert sum(len(s.memo) for s in made) == 7226
+    # one search per connected graph, shared by all its berths
+    assert len(made) == 772
+    assert sum(s.nodes for s in made) == 45064
+    assert sum(len(s.memo) for s in made) == 7041
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_reduction_budget_bounds_a_whole_graph(jobs):
+    # every n <= 4 berth fits in 12 nodes alone, but some graph's berths
+    # together take more on their one search
+    budget = 12
+    for n in range(1, 5):
+        for adj in connected_adjacencies(n, range(sweeps._mask_count(n))):
+            board, wt, roots = gadget_board(adj)
+            for root in roots:
+                Search(board, wt, budget).value(*root, 0, 1)
+    with pytest.raises(BudgetExceededError) as exc:
+        check_reduction_sweep(max_n=4, jobs=jobs, budget=budget)
+    assert str(exc.value) == "reduction sweep exceeded node budget of 12"
 
 
 def _chosen(adj):

@@ -29,7 +29,7 @@ from pirates_treasure.theory import (
     uniform_instance,
 )
 from pirates_treasure.theory.families import graph_from_bits, random_connected_adjacency
-from pirates_treasure.theory.reduction import gadget_bits, hampath_from
+from pirates_treasure.theory.reduction import gadget_board, hampath_from
 
 L = Player.LEFT
 R = Player.RIGHT
@@ -184,17 +184,36 @@ def test_path_oracles_agree_exhaustively():
 
 
 def test_bitmask_gadget_matches_the_reference_board():
+    # one board for all berths: the reference less its graft edge (s, n),
+    # which joins two vertices plundered at the root
     for n in range(1, 7):
         for g in connected_labeled_graphs(n):
-            for s in range(n):
+            adj, wt, roots = gadget_board(g.adjacency_bits)
+            assert len(roots) == n
+            for s, (ships, others, plundered) in enumerate(roots):
                 inst = reduce_from_hampath(g, s)
-                adj, wt, (ships, others, plundered) = gadget_bits(g.adjacency_bits, s)
-                assert adj == list(inst.graph.adjacency_bits)
+                reference = list(inst.graph.adjacency_bits)
+                if n > 1:
+                    reference[s] ^= 1 << n
+                    reference[n] ^= 1 << s
+                assert adj == reference
                 masks = tuple(sum(1 << v for v in f) for f in (inst.left_starts, inst.right_starts))
                 assert (ships, others) == masks
                 assert plundered == sum(1 << v for v in inst.start_vertices)
                 unplundered = [v for v in range(len(adj)) if not plundered >> v & 1]
                 assert {v: wt[v] for v in unplundered} == inst.weights
+
+
+def test_shared_gadget_search_matches_the_reference_route():
+    # one search per graph, every berth a root on it, against a fresh
+    # search of each berth's own grafted board
+    for n in range(1, 6):
+        for g in connected_labeled_graphs(n):
+            adj, wt, roots = gadget_board(g.adjacency_bits)
+            search = Search(adj, wt, DEFAULT_NODE_BUDGET)
+            for s, root in enumerate(roots):
+                shared = search.value(*root, 0, 1) >= 1
+                assert shared is left_wins_moving_first(reduce_from_hampath(g, s)), (g, s)
 
 
 def test_path_oracle_on_disconnected_graph():
@@ -238,10 +257,10 @@ def test_grid_reductions():
     for cols, rows, cell, has_path in cases:
         adj = grid_graph(cols, rows).adjacency_bits
         s = GridSpec(cols, rows).vertex_id(*cell)
-        board, wt, root = gadget_bits(adj, s)
-        left_wins = Search(board, wt, DEFAULT_NODE_BUDGET).value(*root, 0, 1) >= 1
+        board, wt, roots = gadget_board(adj)
+        left_wins = Search(board, wt, DEFAULT_NODE_BUDGET).value(*roots[s], 0, 1) >= 1
         assert left_wins is hampath_from(adj, s) is has_path
-        # grafting a path onto a planar graph keeps it planar: at most 3n - 6 edges
+        # a path beside a planar graph keeps the board planar: at most 3n - 6 edges
         assert sum(b.bit_count() for b in board) // 2 <= 3 * len(board) - 6
 
 
