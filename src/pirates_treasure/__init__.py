@@ -32,7 +32,6 @@ from .engine import (
     apply_move,
     format_move,
     initial_position,
-    is_terminal,
     legal_moves,
     moves_for,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "greedy_score",
     "grid_graph",
     "initial_position",
-    "is_terminal",
     "leaf",
     "left_wins_moving_first",
     "legal_moves",

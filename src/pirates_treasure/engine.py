@@ -108,11 +108,6 @@ def apply_move(pos: Position, move: Move) -> Position:
     return replace(pos, right_ships=new_ships, **kwargs)
 
 
-def is_terminal(pos: Position) -> bool:
-    """True when the player to move is stuck, which ends the whole game."""
-    return not legal_moves(pos)
-
-
 def score_delta(pos: Position, move: Move) -> int:
     """Signed score change the move would bank (positive favors Left)."""
     gain = pos.instance.weight_of(move.to)

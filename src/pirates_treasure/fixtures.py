@@ -56,8 +56,8 @@ def fig_half(x: int = 1) -> Instance:
     return _board(4, [(0, 1), (1, 2), (2, 3)], {0: x, 2: x}, left=(1,), right=(3,))
 
 
-def fig_add_a(x: int = 1) -> Instance:
-    return fig_half(x)
+def fig_add_a() -> Instance:
+    return fig_half()
 
 
 def fig_add_b(x: int = 1) -> Instance:
@@ -65,80 +65,80 @@ def fig_add_b(x: int = 1) -> Instance:
     return _board(2, [(0, 1)], {1: x}, left=(), right=(0,))
 
 
-def fig_add_components(x: int = 1) -> tuple[Instance, Instance]:
+def fig_add_components() -> tuple[Instance, Instance]:
     """Two-board sum that favors Right whichever convention is played."""
-    return fig_add_a(x), fig_add_b(x)
+    return fig_add_a(), fig_add_b()
 
 
-def fig_mis_a(x: int = 1) -> Instance:
-    """Four-vertex path with negated piles: -x, Left, -x, Right."""
-    return fig_half(-x)
+def fig_mis_a() -> Instance:
+    """Four-vertex path with negated piles: -1, Left, -1, Right."""
+    return fig_half(-1)
 
 
-def fig_mis_b(x: int = 1) -> Instance:
-    return fig_add_b(-x)
+def fig_mis_b() -> Instance:
+    return fig_add_b(-1)
 
 
-def fig_mis_c(x: int = 1) -> Instance:
+def fig_mis_c() -> Instance:
     """Single edge: a Left ship next to one negated pile."""
-    return _board(2, [(0, 1)], {1: -x}, left=(0,), right=())
+    return _board(2, [(0, 1)], {1: -1}, left=(0,), right=())
 
 
-def fig_mis_components(x: int = 1) -> tuple[Instance, Instance, Instance]:
+def fig_mis_components() -> tuple[Instance, Instance, Instance]:
     """Three-board sum with all piles negative; ties under misere play."""
-    return fig_mis_a(x), fig_mis_b(x), fig_mis_c(x)
+    return fig_mis_a(), fig_mis_b(), fig_mis_c()
 
 
-def _branched_double_left(x: int = 1) -> Instance:
-    """Path Left-x-x with a Right leaf and a second Left leaf at the top."""
+def _branched_double_left() -> Instance:
+    """Path Left-1-1 with a Right leaf and a second Left leaf at the top."""
     return _board(
         5,
         [(0, 1), (1, 2), (2, 3), (2, 4)],
-        {1: x, 2: x},
+        {1: 1, 2: 1},
         left=(0, 4),
         right=(3,),
     )
 
 
-def _three_path(x: int = 1) -> Instance:
-    """Path Left, x, Right: whoever starts takes the middle pile."""
-    return _board(3, [(0, 1), (1, 2)], {1: x}, left=(0,), right=(2,))
+def _three_path() -> Instance:
+    """Path Left, 1, Right: whoever starts takes the middle pile."""
+    return _board(3, [(0, 1), (1, 2)], {1: 1}, left=(0,), right=(2,))
 
 
-def _left_edge(x: int = 1) -> Instance:
-    return _board(2, [(0, 1)], {1: x}, left=(0,), right=())
+def _left_edge() -> Instance:
+    return _board(2, [(0, 1)], {1: 1}, left=(0,), right=())
 
 
-def _star_with_tail(x: int = 1) -> Instance:
+def _star_with_tail() -> Instance:
     """Center pile with a pile, a Left ship and a Right ship as leaves."""
-    return _board(4, [(0, 1), (1, 2), (1, 3)], {0: x, 1: x}, left=(2,), right=(3,))
+    return _board(4, [(0, 1), (1, 2), (1, 3)], {0: 1, 1: 1}, left=(2,), right=(3,))
 
 
-def _chain_with_fork(x: int = 1) -> Instance:
+def _chain_with_fork() -> Instance:
     """Three piles in a row; Left and Right both hang off the last one."""
     return _board(
         5,
         [(0, 1), (1, 2), (2, 3), (2, 4)],
-        {0: x, 1: x, 2: x},
+        {0: 1, 1: 1, 2: 1},
         left=(3,),
         right=(4,),
     )
 
 
-def _double_left_with_right_edge(x: int = 1) -> Instance:
+def _double_left_with_right_edge() -> Instance:
     """The branched double-Left board and a Right edge as one disconnected board."""
     return _board(
         7,
         [(0, 1), (1, 2), (2, 3), (2, 4), (5, 6)],
-        {1: x, 2: x, 6: x},
+        {1: 1, 2: 1, 6: 1},
         left=(0, 4),
         right=(3, 5),
     )
 
 
-def mirrored_half(x: int = 1) -> Instance:
-    """Mirror of :func:`fig_half`: four-vertex path x, Right, x, Left."""
-    return _board(4, [(0, 1), (1, 2), (2, 3)], {0: x, 2: x}, left=(3,), right=(1,))
+def mirrored_half() -> Instance:
+    """Mirror of :func:`fig_half`: four-vertex path 1, Right, 1, Left."""
+    return _board(4, [(0, 1), (1, 2), (2, 3)], {0: 1, 2: 1}, left=(3,), right=(1,))
 
 
 #: Sum cases with their expected outcome classes, keyed by case id.

@@ -170,10 +170,10 @@ def validate(inst: Instance) -> list[str]:
     return warnings
 
 
-def _id_list(ids: Iterable[int], count: int, shown: int = 8) -> str:
-    """The first ``shown`` of ``count`` ids in list form, plus the count if cut."""
-    head = list(islice(ids, shown))
-    if count <= shown:
+def _id_list(ids: Iterable[int], count: int) -> str:
+    """The first eight of ``count`` ids in list form, plus the count if cut."""
+    head = list(islice(ids, 8))
+    if count <= 8:
         return str(head)
     return f"[{', '.join(map(str, head))}, ...] ({count} in all)"
 
@@ -218,7 +218,7 @@ def _parse_lines(text: str, require_roles: bool):
         if vertex_count is None:
             if kind != "vertices":
                 raise ParseError(line_no, "expected 'vertices <n>' first")
-            vertex_count = _int_field(parts, 1, 2, line_no)
+            vertex_count = _int_field(parts, 2, line_no)
             continue
         if kind == "v":
             if len(parts) != 4:
@@ -240,7 +240,7 @@ def _parse_lines(text: str, require_roles: bool):
             else:
                 raise ParseError(line_no, f"unknown vertex kind {parts[2]!r}")
         elif kind == "e":
-            u = _int_field(parts, 1, 3, line_no)
+            u = _int_field(parts, 3, line_no)
             v = _parse_int(parts[2], line_no)
             if u == v:
                 raise ValidationError(f"line {line_no}: self-loop at vertex {u}")
@@ -256,7 +256,7 @@ def _parse_lines(text: str, require_roles: bool):
         elif kind == "score":
             if score_seen:
                 raise ParseError(line_no, "duplicate score line")
-            score = _int_field(parts, 1, 2, line_no)
+            score = _int_field(parts, 2, line_no)
             score_seen = True
         else:
             raise ParseError(line_no, f"unknown directive {kind!r}")
@@ -276,10 +276,11 @@ def _check_vertex_cap(vertex_count: int) -> None:
         raise ValidationError(f"{vertex_count} vertices, more than the {MAX_VERTICES} allowed")
 
 
-def _int_field(parts: list[str], index: int, expected_len: int, line_no: int) -> int:
+def _int_field(parts: list[str], expected_len: int, line_no: int) -> int:
+    """The integer in field 1 of a line that must have ``expected_len`` fields."""
     if len(parts) != expected_len:
         raise ParseError(line_no, f"expected {expected_len} fields, got {len(parts)}")
-    return _parse_int(parts[index], line_no)
+    return _parse_int(parts[1], line_no)
 
 
 def _parse_int(token: str, line_no: int) -> int:

@@ -6,12 +6,15 @@ sweeps share one pipeline.  An item is a block ``(boards, args)``: a
 module-level board source and its arguments, such as a range of edge
 masks of one size or a range of seeds.  One worker, :func:`_block`,
 expands the block with ``boards(*args)`` and calls the sweep's per-board
-check ``check(*board, *extra)``, which returns a :class:`Violation` or
+check ``check(*board)``, a :func:`functools.partial` over the check's
+fixed arguments (they come first), which returns a :class:`Violation` or
 ``None``.  It counts the boards and keeps the violations in board order;
 :func:`_sweep` adds up the blocks in item order, in this process or over
 one process pool, so splitting the work never changes the result, only
-the wall time.  No board crosses the pool, so even n = 7 sends only
-8,192 small tuples.  Sweeps are deterministic for fixed parameters.
+the wall time.  No board crosses the pool, and blocks go in chunks of
+about an eighth of a worker's share, so n = 7 (8,192 blocks) keeps only
+16 tasks pending at ``jobs=2``.  Sweeps are deterministic for fixed
+parameters.
 The pool's modules (``concurrent.futures``, ``multiprocessing``) load on
 the first sweep run with ``jobs > 1`` over more than one block, and the
 fixture boards only in :func:`check_table_witnesses`, so importing the
@@ -113,22 +116,22 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep(
-    name: str, check: Callable, extra: tuple, blocks: Sequence, jobs: int, params: dict
-) -> SweepReport:
+def _sweep(name: str, check: Callable, blocks: Sequence, jobs: int, params: dict) -> SweepReport:
     """Check every board of every block, optionally across one process pool.
 
     Results come back in block order whatever the job count, so reports
     are identical for any ``jobs``, which must be at least 1.  The pool
     has no more workers than there are blocks, and a single block is
-    checked in this process.  A search past its node budget is reported
-    as the sweep's, ``<name> sweep exceeded node budget of <budget>``,
-    whatever the job count.  A pool that loses a worker process raises
+    checked in this process.  The pool takes the blocks in chunks of
+    ``len(blocks) // (8 * workers)``, at least one, so about eight tasks
+    per worker wait here however many blocks there are.  A search past
+    its node budget is reported as the sweep's, ``<name> sweep exceeded
+    node budget of <budget>``, whatever the job count.  A pool that loses a worker process raises
     :class:`~pirates_treasure.errors.WorkerLostError`,
     ``<name> sweep lost a worker process``.
     """
     _require_at_least("jobs", jobs, 1)
-    items = [(check, extra, boards, args) for boards, args in blocks]
+    items = [(check, boards, args) for boards, args in blocks]
     workers = min(jobs, len(items))
     try:
         if workers <= 1:
@@ -138,7 +141,8 @@ def _sweep(
 
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_block, items))
+                    chunk = max(1, len(items) // (8 * workers))
+                    results = list(pool.map(_block, items, chunksize=chunk))
             except BrokenExecutor:
                 raise WorkerLostError(f"{name} sweep lost a worker process") from None
     except BudgetExceededError as exc:
@@ -151,12 +155,12 @@ def _sweep(
 def _block(item) -> tuple[int, list[Violation]]:
     """Expand one block with ``boards(*args)`` and check each board: the
     number of boards and their violations, in board order."""
-    check, extra, boards, args = item
+    check, boards, args = item
     checked = 0
     violations = []
     for board in boards(*args):
         checked += 1
-        found = check(*board, *extra)
+        found = check(*board)
         if found is not None:
             violations.append(found)
     return checked, violations
@@ -235,7 +239,7 @@ def check_reduction_sweep(
         for n in range(1, max_n + 1)
         for masks in _blocks(0, _mask_count(n))
     ]
-    return _sweep("reduction", _gadget_check, (), blocks, jobs, {"max_n": max_n})
+    return _sweep("reduction", _gadget_check, blocks, jobs, {"max_n": max_n})
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +260,11 @@ def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
 
 
 def _uniform_sweep(
-    name, board_check, x, sign, max_exhaustive_n, random_trials, random_max_n,
-    seed, jobs, budget,
+    name, check, x, max_exhaustive_n, random_trials, random_max_n, seed, jobs
 ) -> SweepReport:
-    """Every board of the family worth ``sign * x`` up to ``max_exhaustive_n``
-    vertices, then ``random_trials`` seeded draws, through one runner."""
+    """Every uniform board up to ``max_exhaustive_n`` vertices, then
+    ``random_trials`` seeded draws, through one runner.  ``check`` has the
+    family's pile value (x or -x) and the node budget bound."""
     _require_positive(x)
     _require_at_least("random_trials", random_trials, 0)
     _require_at_least("random_max_n", random_max_n, 2)
@@ -285,7 +289,7 @@ def _uniform_sweep(
         max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
     )
-    report = _sweep(name, board_check, (sign * x, budget), blocks, jobs, params)
+    report = _sweep(name, check, blocks, jobs, params)
     # each seed is one board, so the rest of the count is the exhaustive part
     params["exhaustive"] = report.checked - random_trials
     return report
@@ -356,7 +360,7 @@ def _is_tie(search: Search, roots) -> bool:
 
 
 def _class_is_not(
-    forbidden: OutcomeClass, has_class: Callable, adj, left, right, verdicts, value, budget
+    forbidden: OutcomeClass, has_class: Callable, value, budget, adj, left, right, verdicts
 ) -> Violation | None:
     berths = 1 << left | 1 << right
     hit = verdicts.get(berths)
@@ -370,7 +374,7 @@ def _class_is_not(
     return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
 
 
-def _ties_with_mirror(adj, left, right, verdicts, value, budget) -> Violation | None:
+def _ties_with_mirror(value, budget, adj, left, right, verdicts) -> Violation | None:
     """The board and its mirror side by side: the mirror is the same board
     with the berths swapped, so Left holds (left, right + n).
 
@@ -402,8 +406,8 @@ def check_no_p_positions(
 ) -> SweepReport:
     """Uniform positive piles: the second player never wins outright."""
     return _uniform_sweep(
-        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p), x, 1, max_exhaustive_n,
-        random_trials, random_max_n, seed, jobs, budget,
+        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p, x, budget), x,
+        max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
 
@@ -418,8 +422,8 @@ def check_no_n_positions(
 ) -> SweepReport:
     """Uniform negative piles: the first player never wins outright."""
     return _uniform_sweep(
-        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n), x, -1, max_exhaustive_n,
-        random_trials, random_max_n, seed, jobs, budget,
+        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n, -x, budget), x,
+        max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
 
@@ -434,8 +438,8 @@ def check_self_sum_tie(
 ) -> SweepReport:
     """Any uniform board plus its own mirror plays to a dead tie."""
     return _uniform_sweep(
-        "self-sum", _ties_with_mirror, x, 1, max_exhaustive_n,
-        random_trials, random_max_n, seed, jobs, budget,
+        "self-sum", partial(_ties_with_mirror, x, budget), x,
+        max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
 
@@ -509,7 +513,7 @@ def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
     return classify(FinalScores(v, -search.value(*right_first, -1, 1))) in cell
 
 
-def _table_check(a, b, x: int, budget: int) -> Violation | None:
+def _table_check(x: int, budget: int, a, b) -> Violation | None:
     """A pair of uniform boards: the sum's class against its cell.  Only a
     violating pair is worded, with the sum's exact class."""
     board_a, board_b = _uniform(*a, x), _uniform(*b, x)
@@ -540,7 +544,7 @@ def check_outcome_table(
     _require_at_least("max_component_n", max_component_n, 2)
     blocks = _seeded(_pairs, seed, trials, max_component_n)
     params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
-    return _sweep("table", _table_check, (x, budget), blocks, jobs, params)
+    return _sweep("table", partial(_table_check, x, budget), blocks, jobs, params)
 
 
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
@@ -604,7 +608,7 @@ def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
         yield (random_pt_instance(rng.randint(3, max_n), rng),)
 
 
-def _distinguishing_check(inst: Instance, budget: int) -> Violation | None:
+def _distinguishing_check(budget: int, inst: Instance) -> Violation | None:
     """A board's Left-first sign alone and beside its context.  Only a
     violating board is worded, with both exact scores."""
     context = distinguishing_context(inst)
@@ -630,4 +634,4 @@ def check_distinguishing(
     _require_at_least("max_n", max_n, 3)
     blocks = _seeded(_drawn_pt, seed, trials, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}
-    return _sweep("distinguishing", _distinguishing_check, (budget,), blocks, jobs, params)
+    return _sweep("distinguishing", partial(_distinguishing_check, budget), blocks, jobs, params)

@@ -12,7 +12,7 @@ import random
 import time
 
 from pirates_treasure.algebra import solve_sum, sum_position
-from pirates_treasure.engine import Move, Player, apply_move, initial_position, is_terminal
+from pirates_treasure.engine import Move, Player, apply_move, initial_position, legal_moves
 from pirates_treasure.fixtures import (
     TAB_CASES,
     fig_add_components,
@@ -65,7 +65,7 @@ def test_01_worked_example_solved_exactly():
         report.final_scores == FinalScores(2, 2)
         and report.outcome is OutcomeClass.L
         and report.pv_left == trace
-        and is_terminal(pos)
+        and not legal_moves(pos)
         and pos.score == 2
         and elapsed < 1.0
     )

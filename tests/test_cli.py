@@ -316,7 +316,7 @@ def test_a_lost_pool_worker_exits_three_naming_the_sweep(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             raise concurrent.futures.process.BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

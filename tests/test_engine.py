@@ -8,7 +8,6 @@ from pirates_treasure.engine import (
     apply_move,
     format_move,
     initial_position,
-    is_terminal,
     legal_moves,
     moves_for,
     score_delta,
@@ -78,9 +77,9 @@ def test_stuck_mover_ends_game_even_if_opponent_could_move():
     # move the game is over on the spot.
     inst = Instance(Graph.from_edges(3, [(1, 2)]), {2: 1}, (0,), (1,))
     left_first = initial_position(inst, Player.LEFT)
-    assert is_terminal(left_first)
+    assert not legal_moves(left_first)
     right_first = initial_position(inst, Player.RIGHT)
-    assert not is_terminal(right_first)
+    assert legal_moves(right_first)
 
 
 def test_score_delta_signs():

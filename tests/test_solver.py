@@ -14,7 +14,6 @@ from pirates_treasure.engine import (
     Position,
     apply_move,
     initial_position,
-    is_terminal,
     legal_moves,
 )
 from pirates_treasure.errors import BudgetExceededError, ValidationError
@@ -103,7 +102,7 @@ def test_pv_replays_to_reported_score():
             pos = initial_position(inst, first)
             for move in line:
                 pos = apply_move(pos, move)  # raises if illegal
-            assert is_terminal(pos)
+            assert not legal_moves(pos)
             assert pos.score == expected
 
 
@@ -385,7 +384,7 @@ def _assert_report_matches_minimax(inst: Instance, report, why: str) -> None:
         (R, report.best_first_moves_right, report.pv_right),
     ):
         pos = initial_position(inst, first)
-        if is_terminal(pos):
+        if not legal_moves(pos):
             assert best == frozenset() and pv == ()
             continue
         values, opt = _minimax_children(pos)
@@ -395,7 +394,7 @@ def _assert_report_matches_minimax(inst: Instance, report, why: str) -> None:
             expected = min((m for m, v in values if v == opt), key=Move.sort_key)
             assert move == expected, f"{why}, {first} first, step {step}"
             pos = apply_move(pos, move)
-        assert is_terminal(pos), f"{why}, {first} first: variation stops early"
+        assert not legal_moves(pos), f"{why}, {first} first: variation stops early"
 
 
 def test_best_moves_and_variations_match_minimax():

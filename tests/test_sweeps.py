@@ -204,14 +204,17 @@ def test_jobs_do_not_change_results():
         (check_no_p_positions, dict(max_exhaustive_n=3, random_trials=80, seed=9), 3),
         (check_outcome_table, dict(trials=100, max_component_n=4, seed=12), 1),
         (check_reduction_sweep, dict(max_n=1), 1),
+        # one seed a block (``_BLOCK`` patched to 1 below)
+        (check_outcome_table, dict(trials=400, max_component_n=4, seed=12), 400),
     ],
 )
 def test_the_pool_has_no_more_workers_than_blocks(monkeypatch, sweep, kwargs, blocks):
-    asked = []
+    asked, tasks = [], []
 
     class RecordingPool:
-        """Records the worker count it is asked for and maps in this
-        process, so no job count starts a process."""
+        """Records the worker count it is asked for and the tasks its
+        chunks make, and maps in this process, so no job count starts a
+        process."""
 
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -222,17 +225,25 @@ def test_the_pool_has_no_more_workers_than_blocks(monkeypatch, sweep, kwargs, bl
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            tasks.append(-(-len(items) // chunksize))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # stands in even if the sweeps module ever binds the name at import
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool, raising=False)
+    if blocks == 400:
+        monkeypatch.setattr(sweeps, "_BLOCK", 1)
     serial = sweep(jobs=1, **kwargs)
     for jobs in (2, 64, 10_000):
         assert sweep(jobs=jobs, **kwargs) == serial
     # one block is checked in this process and never builds a pool
-    assert asked == ([] if blocks == 1 else [min(2, blocks), blocks, blocks])
+    assert asked == ([] if blocks == 1 else [min(2, blocks), min(64, blocks), blocks])
+    # the blocks go in chunks, so few tasks wait however many blocks there are
+    assert all(n <= 8 * workers + 1 for n, workers in zip(tasks, asked))
+    if blocks == 400:
+        assert tasks[0] == 16
 
 
 _COLD_START = """\
