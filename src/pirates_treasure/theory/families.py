@@ -20,6 +20,11 @@ from ..model import Graph, Instance, adjacency_connected, validate
 MAX_ENUMERATION_N = 7
 
 
+def _mask_count(n: int) -> int:
+    """Edge masks of n-vertex graphs: one bit per vertex pair."""
+    return 1 << n * (n - 1) // 2
+
+
 def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """All connected simple graphs on vertices 0..n-1, labels distinct.
 
@@ -28,7 +33,7 @@ def connected_labeled_graphs(n: int) -> Iterator[Graph]:
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
-    for adj in connected_adjacencies(n, range(1 << n * (n - 1) // 2)):
+    for adj in connected_adjacencies(n, range(_mask_count(n))):
         yield graph_from_bits(adj)
 
 
@@ -95,7 +100,7 @@ def _enumerate_uniform(n: int, value: int) -> Iterator[Instance]:
         raise ValidationError(
             f"exhaustive enumeration supports 2 <= n <= {MAX_ENUMERATION_N}"
         )
-    for adj, left, right in uniform_boards_bits(n, range(1 << n * (n - 1) // 2)):
+    for adj, left, right in uniform_boards_bits(n, range(_mask_count(n))):
         yield uniform_instance(graph_from_bits(adj), left, right, value)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Sequence
 
-from ..errors import BudgetExceededError, ValidationError
+from ..errors import ValidationError
 from ..model import Graph, Instance
 
 
@@ -77,13 +77,13 @@ def hampath_oracle(g: Graph, start: int | None = None) -> bool:
     A path here must traverse at least one edge, so a one-vertex graph has
     none; that convention is what makes the reduction exact for all sizes.
     Backtracking search (:func:`hampath_from`), practical to roughly 12
-    vertices; larger graphs raise :class:`BudgetExceededError`.
+    vertices; larger graphs raise :class:`ValidationError`.
     """
     n = g.vertex_count
     if start is not None and not 0 <= start < n:
         raise ValidationError(f"start {start} out of range")
     if n > 12:
-        raise BudgetExceededError(12, "path search")
+        raise ValidationError(f"path oracle supports at most 12 vertices, got {n}")
     if n < 2 or not g.is_connected():
         return False
     adj = g.adjacency_bits
@@ -113,13 +113,14 @@ def _extend(adj: Sequence[int], full: int, v: int, visited: int) -> bool:
 def hampath_by_permutations(g: Graph, start: int | None = None) -> bool:
     """Second, independent route to the same answer: try every vertex order.
 
-    Exists to cross-check :func:`hampath_oracle`; only sensible for n <= 8.
+    Exists to cross-check :func:`hampath_oracle`; only sensible for n <= 8,
+    so larger graphs raise :class:`ValidationError`.
     """
     n = g.vertex_count
     if start is not None and not 0 <= start < n:
         raise ValidationError(f"start {start} out of range")
     if n > 8:
-        raise BudgetExceededError(8, "permutation scan")
+        raise ValidationError(f"permutation scan supports at most 8 vertices, got {n}")
     if n < 2:
         return False
     adj = g.adjacency_bits

@@ -25,8 +25,8 @@ reduction builds one gadget board and one search per graph
 (:func:`~.reduction.gadget_board`) and sets each berth's packed root on
 it, one zero-window search each, against the path oracle; the berths of
 a graph share the search's table.  A uniform
-check (no P positions when every pile is worth x > 0, no N positions at
--x, a board plus its mirror ties) asks only its own question: it packs
+check (no P positions when every pile is worth 1, no N positions at -1,
+a board plus its mirror ties) asks only its own question: it packs
 the two roots, each three vertex masks (mover's fleet, other fleet,
 plundered; a board beside its mirror holds two ships a side), and runs
 zero-window searches that stop at the first root that rules the class
@@ -36,10 +36,13 @@ the other order, so it takes the verdict that (a, b) got earlier on the
 same graph.  The table check takes each summand's class from the
 signs of its two first movers' results, windows ``(-1, 1)``, and searches
 the boards side by side for Left first, then for Right first only when
-that sign leaves the sum's cell open.  Only a violating board becomes an
-:class:`~pirates_treasure.model.Instance`, and only then do exact
-:func:`~pirates_treasure.solver.final_scores` give the class its report
-line shows.  The distinguishing check reads only the signs of Left-first
+that sign leaves the sum's cell open.  Each uniform claim covers every
+x > 0 at once: scaling every pile by x scales every final score by x and
+keeps every sign, so the sweeps check x = 1.  A violating board's class
+comes from :func:`_sign_class` on the bitmask board searched (a self-sum
+beside its mirror, a table pair side by side), and only then is it
+built as an :class:`~pirates_treasure.model.Instance`, to be written
+out.  The distinguishing check reads only the signs of Left-first
 scores, each from one search in a window around its banked score, and
 computes exact scores only to word a violation.
 A self-sum, a board beside its mirror, searches its Left-first root alone:
@@ -71,6 +74,7 @@ from ..solver import (
 )
 from .families import (
     MAX_ENUMERATION_N,
+    _mask_count,
     connected_adjacencies,
     distinguishing_context,
     graph_from_bits,
@@ -166,11 +170,6 @@ def _block(item) -> tuple[int, list[Violation]]:
     return checked, violations
 
 
-def _require_positive(x: int) -> None:
-    if x <= 0:
-        raise ValidationError(f"uniform pile value x must be positive, got {x}")
-
-
 def _require_at_least(key: str, value: int, least: int) -> None:
     if value < least:
         raise ValidationError(f"{key} must be at least {least}, got {value}")
@@ -186,11 +185,6 @@ def _blocks(start: int, stop: int) -> Iterator[range]:
     """[start, stop) in consecutive ranges of ``_BLOCK``, the last one shorter."""
     for first in range(start, stop, _BLOCK):
         yield range(first, min(first + _BLOCK, stop))
-
-
-def _mask_count(n: int) -> int:
-    """Edge masks of n-vertex graphs: one bit per vertex pair."""
-    return 1 << n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +247,18 @@ def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
 
 def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
     """One board per seed, drawn from ``Random(seed)`` as
-    ``random_ptx_instance(rng.randint(2, max_n), x, rng)`` draws it."""
+    ``random_ptx_instance(rng.randint(2, max_n), 1, rng)`` draws it."""
     for seed in seeds:
         rng = random.Random(seed)
         yield random_uniform_bits(rng.randint(2, max_n), rng)
 
 
 def _uniform_sweep(
-    name, check, x, max_exhaustive_n, random_trials, random_max_n, seed, jobs
+    name, check, max_exhaustive_n, random_trials, random_max_n, seed, jobs
 ) -> SweepReport:
     """Every uniform board up to ``max_exhaustive_n`` vertices, then
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
-    family's pile value (x or -x) and the node budget bound."""
-    _require_positive(x)
+    family's pile value (1 or -1) and the node budget bound."""
     _require_at_least("random_trials", random_trials, 0)
     _require_at_least("random_max_n", random_max_n, 2)
     if max_exhaustive_n > MAX_ENUMERATION_N:
@@ -286,7 +279,7 @@ def _uniform_sweep(
     blocks += _seeded(_drawn, seed, random_trials, random_max_n)
     blocks = [(_twins, (boards, *args)) for boards, args in blocks]
     params = dict(
-        max_exhaustive_n=max_exhaustive_n, x=x, random_trials=random_trials,
+        max_exhaustive_n=max_exhaustive_n, x=1, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
     )
     report = _sweep(name, check, blocks, jobs, params)
@@ -334,6 +327,15 @@ def _search_roots(board, budget) -> tuple[Search, tuple]:
     return Search(adj, wt, budget), ((lefts, rights, berths), (rights, lefts, berths))
 
 
+def _sign_class(board, budget: int) -> OutcomeClass:
+    """A bitmask board's class from the signs of its two first movers'
+    results, each one window ``(-1, 1)`` search."""
+    search, (left_first, right_first) = _search_roots(board, budget)
+    return classify(
+        FinalScores(search.value(*left_first, -1, 1), -search.value(*right_first, -1, 1))
+    )
+
+
 def _instance(adj, left, right, value) -> Instance:
     """The uniform board that a violation's report line shows."""
     return uniform_instance(graph_from_bits(adj), left, right, value)
@@ -369,12 +371,12 @@ def _class_is_not(
         hit = verdicts[berths] = has_class(*_search_roots(board, budget))
     if not hit:
         return None
-    inst = _instance(adj, left, right, value)
-    got = classify(final_scores(inst, budget=budget))
-    return Violation(serialize_instance(inst), f"class != {forbidden}", f"class = {got}")
+    got = _sign_class(_uniform(adj, left, right, value), budget)
+    text = serialize_instance(_instance(adj, left, right, value))
+    return Violation(text, f"class != {forbidden}", f"class = {got}")
 
 
-def _ties_with_mirror(value, budget, adj, left, right, verdicts) -> Violation | None:
+def _ties_with_mirror(budget, adj, left, right, verdicts) -> Violation | None:
     """The board and its mirror side by side: the mirror is the same board
     with the berths swapped, so Left holds (left, right + n).
 
@@ -384,61 +386,59 @@ def _ties_with_mirror(value, budget, adj, left, right, verdicts) -> Violation | 
     mover."""
     berths = 1 << left | 1 << right
     tie = verdicts.get(berths)
-    if tie is None:
-        board = _beside(_uniform(adj, left, right, value), _uniform(adj, right, left, value))
-        search, roots = _search_roots(board, budget)
-        tie = verdicts[berths] = _is_tie(search, roots[:1])
     if tie:
         return None
-    inst = _instance(adj, left, right, value)
-    got = classify(final_scores(inst, negate_instance(inst), budget=budget))
-    return Violation(serialize_instance(inst), "board + mirror ties", f"class = {got}")
+    board = _beside(_uniform(adj, left, right, 1), _uniform(adj, right, left, 1))
+    if tie is None:
+        search, roots = _search_roots(board, budget)
+        tie = verdicts[berths] = _is_tie(search, roots[:1])
+        if tie:
+            return None
+    text = serialize_instance(_instance(adj, left, right, 1))
+    return Violation(text, "board + mirror ties", f"class = {_sign_class(board, budget)}")
 
 
 def check_no_p_positions(
     max_exhaustive_n: int = 5,
-    x: int = 1,
     random_trials: int = 10_000,
     random_max_n: int = 9,
     seed: int = 101,
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
-    """Uniform positive piles: the second player never wins outright."""
+    """Every pile worth 1, so any x > 0: the second player never wins outright."""
     return _uniform_sweep(
-        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p, x, budget), x,
+        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p, 1, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
 
 def check_no_n_positions(
     max_exhaustive_n: int = 5,
-    x: int = 1,
     random_trials: int = 10_000,
     random_max_n: int = 9,
     seed: int = 102,
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
-    """Uniform negative piles: the first player never wins outright."""
+    """Every pile worth -1, so any -x < 0: the first player never wins outright."""
     return _uniform_sweep(
-        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n, -x, budget), x,
+        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n, -1, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
 
 def check_self_sum_tie(
     max_exhaustive_n: int = 4,
-    x: int = 1,
     random_trials: int = 1000,
     random_max_n: int = 7,
     seed: int = 104,
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
-    """Any uniform board plus its own mirror plays to a dead tie."""
+    """Any board with piles of 1, so any x > 0, plus its mirror plays to a dead tie."""
     return _uniform_sweep(
-        "self-sum", partial(_ties_with_mirror, x, budget), x,
+        "self-sum", partial(_ties_with_mirror, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
@@ -492,15 +492,6 @@ def _pairs(seeds: range, max_n: int) -> Iterator[tuple[tuple, tuple]]:
         yield a, random_uniform_bits(rng.randint(2, max_n), rng)
 
 
-def _sign_class(board, budget: int) -> OutcomeClass:
-    """A bitmask board's class from the signs of its two first movers'
-    results, each one window ``(-1, 1)`` search."""
-    search, (left_first, right_first) = _search_roots(board, budget)
-    return classify(
-        FinalScores(search.value(*left_first, -1, 1), -search.value(*right_first, -1, 1))
-    )
-
-
 def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
     """Does a bitmask board's class lie in ``cell``?  Right first is
     searched only when Left first's sign leaves the answer open."""
@@ -513,19 +504,19 @@ def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
     return classify(FinalScores(v, -search.value(*right_first, -1, 1))) in cell
 
 
-def _table_check(x: int, budget: int, a, b) -> Violation | None:
+def _table_check(budget: int, a, b) -> Violation | None:
     """A pair of uniform boards: the sum's class against its cell.  Only a
-    violating pair is worded, with the sum's exact class."""
-    board_a, board_b = _uniform(*a, x), _uniform(*b, x)
+    violating pair is worded, with the sum's class."""
+    board_a, board_b = _uniform(*a, 1), _uniform(*b, 1)
     class_a, class_b = _sign_class(board_a, budget), _sign_class(board_b, budget)
     cell = outcome_table_cell(class_a, class_b)
-    if cell is not None and _class_in(cell, _beside(board_a, board_b), budget):
+    board = _beside(board_a, board_b)
+    if cell is not None and _class_in(cell, board, budget):
         return None
-    inst_a, inst_b = _instance(*a, x), _instance(*b, x)
-    text = serialize_instance(inst_a) + "+\n" + serialize_instance(inst_b)
+    text = serialize_instance(_instance(*a, 1)) + "+\n" + serialize_instance(_instance(*b, 1))
     if cell is None:
         return Violation(text, "summands on the table", f"{class_a} + {class_b}")
-    got = classify(final_scores(inst_a, inst_b, budget=budget))
+    got = _sign_class(board, budget)
     allowed = "/".join(sorted(c.value for c in cell))
     return Violation(text, f"{class_a} + {class_b} in {{{allowed}}}", f"class = {got}")
 
@@ -533,18 +524,17 @@ def _table_check(x: int, budget: int, a, b) -> Violation | None:
 def check_outcome_table(
     trials: int = 1000,
     max_component_n: int = 5,
-    x: int = 1,
     seed: int = 103,
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
-    """Random uniform-board pairs: the sum's class stays inside its cell."""
-    _require_positive(x)
+    """Random pairs of boards with piles of 1, so any x > 0: the sum's class
+    stays inside its cell."""
     _require_at_least("trials", trials, 1)
     _require_at_least("max_component_n", max_component_n, 2)
     blocks = _seeded(_pairs, seed, trials, max_component_n)
-    params = {"trials": trials, "max_component_n": max_component_n, "x": x, "seed": seed}
-    return _sweep("table", partial(_table_check, x, budget), blocks, jobs, params)
+    params = {"trials": trials, "max_component_n": max_component_n, "x": 1, "seed": seed}
+    return _sweep("table", partial(_table_check, budget), blocks, jobs, params)
 
 
 def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:

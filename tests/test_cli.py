@@ -288,6 +288,14 @@ def test_oracle_start_off_a_large_graph_exits_two(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: start 99 out of range\n")
 
 
+def test_oracle_refuses_a_graph_past_its_size_cap(capsys, tmp_path):
+    path_file = tmp_path / "p13.graph"
+    path_file.write_text("vertices 13\n" + "".join(f"e {v} {v + 1}\n" for v in range(12)))
+    code, out, err = run(capsys, "oracle", str(path_file))
+    assert (code, out) == (2, "")
+    assert err == "error: path oracle supports at most 12 vertices, got 13\n"
+
+
 def test_budget_exit_three(capsys, fixtures_dir):
     code, _, err = run(capsys, "solve", str(fixtures_dir / "fig_ex.pt"), "--max-nodes", "2")
     assert code == 3

@@ -15,12 +15,16 @@ The transcript pins scores, classes, best-move sets, variations and
 ``nodes expanded:``, so a change that moves any of them, node counts
 included, must regenerate the file and say why in CHANGES.md.
 
-Regenerate from the repository root with::
+A second transcript, ``verify_transcript.txt``, pins ``verify`` on the
+uniform, table and reduction claims at the CLI defaults: counts, the
+``params:`` lines and exit codes.
+
+Regenerate both from the repository root with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which also prints how many ``nodes expanded:``/``nodes=`` lines and how
-many other lines were removed or added.
+which also prints, per file, how many ``nodes expanded:``/``nodes=``
+lines and how many other lines were removed or added.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ from pirates_treasure.fixtures import TAB_CASES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "cli_transcript.txt"
+VERIFY_GOLDEN = REPO_ROOT / "tests" / "data" / "verify_transcript.txt"
+
+#: ``verify`` at the CLI defaults, one claim per line.
+VERIFY_COMMANDS = [
+    ["verify", claim] for claim in ("pt-x", "pt-negx", "self-sum", "table", "reduction")
+]
 
 #: Boards outside ``fixtures/`` on which mirror states share a table entry.
 KEY_BOARDS = ["tests/data/grid_3x3.pt", "tests/data/random_n7_seed1.pt"]
@@ -68,10 +78,11 @@ def commands() -> list[list[str]]:
     return out
 
 
-def transcript() -> str:
-    """Run every command in-process from the repo root; stdout and exit codes."""
+def transcript(argvs: list[list[str]] | None = None) -> str:
+    """Run every command (by default :func:`commands`) in-process from the
+    repo root; stdout and exit codes."""
     chunks = []
-    for argv in commands():
+    for argv in commands() if argvs is None else argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
@@ -95,14 +106,20 @@ def test_cli_transcript_matches_golden(monkeypatch):
     assert transcript() == GOLDEN.read_text()
 
 
+def test_verify_transcript_matches_golden(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    assert transcript(VERIFY_COMMANDS) == VERIFY_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     os.chdir(REPO_ROOT)
     GOLDEN.parent.mkdir(exist_ok=True)
-    old = GOLDEN.read_text() if GOLDEN.exists() else ""
-    new = transcript()
-    GOLDEN.write_text(new)
-    nodes, others = changed_lines(old, new)
-    print(
-        f"{GOLDEN.relative_to(REPO_ROOT)}: {nodes} node-count lines and "
-        f"{others} other lines removed or added"
-    )
+    for golden, argvs in ((GOLDEN, None), (VERIFY_GOLDEN, VERIFY_COMMANDS)):
+        old = golden.read_text() if golden.exists() else ""
+        new = transcript(argvs)
+        golden.write_text(new)
+        nodes, others = changed_lines(old, new)
+        print(
+            f"{golden.relative_to(REPO_ROOT)}: {nodes} node-count lines and "
+            f"{others} other lines removed or added"
+        )

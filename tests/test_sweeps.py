@@ -322,22 +322,6 @@ def test_block_edges_keep_the_violation_order(monkeypatch):
     assert small.violations == default.violations
 
 
-@pytest.mark.parametrize("x", [0, -1])
-@pytest.mark.parametrize(
-    "sweep",
-    [check_no_p_positions, check_no_n_positions, check_self_sum_tie, check_outcome_table],
-)
-def test_uniform_sweeps_reject_a_non_positive_pile_value(sweep, x):
-    if sweep is check_outcome_table:
-        with pytest.raises(ValidationError):
-            sweep(trials=5, max_component_n=4, x=x, seed=3)
-        return
-    # with and without exhaustive boards: a seeded-only sweep is refused too
-    for max_exhaustive_n in (3, 1):
-        with pytest.raises(ValidationError):
-            sweep(max_exhaustive_n=max_exhaustive_n, x=x, random_trials=5, seed=1)
-
-
 @pytest.mark.parametrize(
     "sweep, kwargs, message",
     [
@@ -445,11 +429,11 @@ def test_uniform_sweeps_search_the_enumerated_boards_in_order(
     # the board with berths (b, a) takes the verdict of (a, b), checked
     # before it on the same graph, so only the a < b boards are searched
     seen = _record_boards(monkeypatch, predicate, False)
-    report = sweep(max_exhaustive_n=5, x=2, random_trials=0)
+    report = sweep(max_exhaustive_n=5, random_trials=0)
     assert seen == [
         _packed(inst)
         for n in range(2, 6)
-        for inst in family(n, 2)
+        for inst in family(n, 1)
         if inst.left_starts < inst.right_starts
     ]
     assert report.checked == report.params["exhaustive"] == 15042
@@ -459,12 +443,12 @@ def test_uniform_sweeps_search_the_enumerated_boards_in_order(
 def test_uniform_sweeps_search_the_seeded_draws_in_order(monkeypatch):
     seen = _record_boards(monkeypatch, "_is_p", False)
     report = check_no_p_positions(
-        max_exhaustive_n=1, x=3, random_trials=2000, random_max_n=9, seed=40
+        max_exhaustive_n=1, random_trials=2000, random_max_n=9, seed=40
     )
     expected = []
     for seed in range(40, 2040):
         rng = random.Random(seed)
-        expected.append(_packed(random_ptx_instance(rng.randint(2, 9), 3, rng)))
+        expected.append(_packed(random_ptx_instance(rng.randint(2, 9), 1, rng)))
     assert seen == expected
     assert (report.checked, report.params["exhaustive"]) == (2000, 0)
 
@@ -472,18 +456,18 @@ def test_uniform_sweeps_search_the_seeded_draws_in_order(monkeypatch):
 def test_self_sum_searches_each_board_beside_its_mirror(monkeypatch):
     seen = _record_boards(monkeypatch, "_is_tie", True)
     report = check_self_sum_tie(
-        max_exhaustive_n=4, x=2, random_trials=300, random_max_n=7, seed=60
+        max_exhaustive_n=4, random_trials=300, random_max_n=7, seed=60
     )
     # the exhaustive a < b boards (each (b, a) takes their verdict), then every draw
     boards = [
         inst
         for n in range(2, 5)
-        for inst in enumerate_ptx(n, 2)
+        for inst in enumerate_ptx(n, 1)
         if inst.left_starts < inst.right_starts
     ]
     for seed in range(60, 360):
         rng = random.Random(seed)
-        boards.append(random_ptx_instance(rng.randint(2, 7), 2, rng))
+        boards.append(random_ptx_instance(rng.randint(2, 7), 1, rng))
     # only the Left-first root: swapping the components maps it onto Right-first
     packed = [_packed(inst, negate_instance(inst)) for inst in boards]
     assert seen == [(adj, wt, roots[:1]) for adj, wt, roots in packed]
@@ -671,9 +655,9 @@ def test_class_predicates_match_the_exact_class(stuck):
             ),
         ),
         (
-            check_no_n_positions, dict(seed=24, x=2), "_is_n", True,
+            check_no_n_positions, dict(seed=24), "_is_n", True,
             Violation(
-                "vertices 5\nv 0 ship L\nv 1 value -2\nv 2 value -2\nv 3 ship R\nv 4 value -2\n"
+                "vertices 5\nv 0 ship L\nv 1 value -1\nv 2 value -1\nv 3 ship R\nv 4 value -1\n"
                 "e 0 1\ne 0 2\ne 0 3\ne 0 4\ne 1 4\n",
                 "class != N",
                 "class = R",
@@ -696,6 +680,17 @@ def test_a_forced_hit_reports_the_board_and_its_exact_class(
     monkeypatch.setattr(sweeps, predicate, lambda search, roots: hit)
     report = sweep(max_exhaustive_n=1, random_trials=1, random_max_n=5, **kwargs)
     assert (report.checked, report.violations) == (1, [violation])
+
+
+def test_the_node_budget_bounds_only_the_sign_searches_of_a_violating_self_sum(monkeypatch):
+    # the forced hit's class takes 134 nodes of sign searches; exact scores
+    # of the board beside its mirror would take 146
+    monkeypatch.setattr(sweeps, "_is_tie", lambda search, roots: False)
+    report = check_self_sum_tie(
+        max_exhaustive_n=1, random_trials=1, random_max_n=5, seed=27, budget=140
+    )
+    assert (report.checked, len(report.violations)) == (1, 1)
+    assert report.violations[0].got == "class = TIE"
 
 
 def test_the_node_budget_bounds_the_class_test_not_the_exact_scores():

@@ -6,7 +6,7 @@ import pytest
 
 from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.engine import Player, initial_position, legal_moves
-from pirates_treasure.errors import BudgetExceededError, ValidationError
+from pirates_treasure.errors import ValidationError
 from pirates_treasure.fixtures import fig_add_b, fig_ex, fig_half
 from pirates_treasure.model import Graph, GridSpec, grid_graph
 from pirates_treasure.solver import (
@@ -223,10 +223,13 @@ def test_path_oracle_on_disconnected_graph():
 
 
 def test_path_oracle_budget():
-    with pytest.raises(BudgetExceededError):
+    # the size caps refuse the input; no node is counted, so no budget is spent
+    with pytest.raises(ValidationError) as exc:
         hampath_oracle(Graph(13, frozenset()))
-    with pytest.raises(BudgetExceededError):
+    assert str(exc.value) == "path oracle supports at most 12 vertices, got 13"
+    with pytest.raises(ValidationError) as exc:
         hampath_by_permutations(Graph(9, frozenset()))
+    assert str(exc.value) == "permutation scan supports at most 8 vertices, got 9"
 
 
 @pytest.mark.parametrize("oracle, cap", [(hampath_oracle, 12), (hampath_by_permutations, 8)])
