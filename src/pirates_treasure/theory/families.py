@@ -5,6 +5,13 @@ The uniform-value families (every pile worth the same x > 0, or the same
 they get first-class generators here.  The distinguishing context, the
 board summed with each random board of the distinguishing sweep, is
 built here too.
+
+Each seeded draw reads its generator through ``getrandbits()`` and
+``random()`` only, never ``randint``, ``randrange`` or ``sample``: a
+``Random(seed)`` state still gives the boards that those calls gave,
+since :func:`_below` is the routine they use underneath, but Python pins
+only those two streams across releases, and the draw skips their Python
+layers.
 """
 
 from __future__ import annotations
@@ -18,6 +25,16 @@ from ..model import Graph, Instance, adjacency_connected, validate
 
 #: Largest vertex count that exhaustive enumeration supports.
 MAX_ENUMERATION_N = 7
+
+#: Largest board a seeded sweep draws.  A 64-vertex draw takes well under
+#: a millisecond, but one of 100,000 vertices needs about 10**9
+#: ``random()`` calls, and no node budget stops a draw.  Exact search is
+#: out of reach long before 64 vertices anyway.
+MAX_DRAW_N = 64
+
+#: ``random.sample`` picks two of at most this many items from a list, and
+#: two of more by rejection from a set.
+_SAMPLE_POOL_N = 21
 
 
 def _mask_count(n: int) -> int:
@@ -115,21 +132,33 @@ def uniform_boards_bits(n: int, masks: range) -> Iterator[tuple[list[int], int, 
                     yield adj, left, right
 
 
+def _below(getrandbits, n: int) -> int:
+    """A number in [0, n), n > 0, as ``Random.randrange(n)`` draws it: CPython's
+    ``_randbelow_with_getrandbits``, which ``randint`` and ``sample`` use too."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_connected_adjacency(n: int, rng: random.Random) -> list[int]:
     """Per-vertex neighbor bitmasks of a random attachment tree plus extra
     edges, each of the other pairs independently with probability 1/4:
     always connected."""
     if n < 1:
         raise ValidationError("need at least one vertex")
+    bits = rng.getrandbits
     adj = [0] * n
     for v in range(1, n):
-        u = rng.randrange(v)
+        u = _below(bits, v)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    draw = rng.random
     for u in range(n):
         for v in range(u + 1, n):
             # a tree edge draws no number: seeded boards depend on this order
-            if not adj[u] >> v & 1 and rng.random() < 0.25:
+            if not adj[u] >> v & 1 and draw() < 0.25:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return adj
@@ -137,11 +166,21 @@ def random_connected_adjacency(n: int, rng: random.Random) -> list[int]:
 
 def random_uniform_bits(n: int, rng: random.Random) -> tuple[list[int], int, int]:
     """(adjacency, Left berth, Right berth) of a random connected board: the
-    graph is drawn first, then the two distinct berths."""
+    graph is drawn first, then the two distinct berths, as
+    ``rng.sample(range(n), 2)`` picks them."""
     if n < 2:
         raise ValidationError("need room for two ships")
     adj = random_connected_adjacency(n, rng)
-    left, right = rng.sample(range(n), 2)
+    bits = rng.getrandbits
+    left = _below(bits, n)
+    if n <= _SAMPLE_POOL_N:
+        # the pool pick: the last item moves into the vacancy Left leaves
+        j = _below(bits, n - 1)
+        right = n - 1 if j == left else j
+    else:
+        right = _below(bits, n)
+        while right == left:
+            right = _below(bits, n)
     return adj, left, right
 
 
@@ -162,11 +201,12 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
     if n < 3:
         # on two vertices Left's one neighbor is always Right's berth
         raise ValidationError("no 2-vertex board leaves Left a first move")
+    bits = rng.getrandbits
     while True:
         adj, left, right = random_uniform_bits(n, rng)
         graph = graph_from_bits(adj)
         weights = {
-            v: rng.randint(1, 4)
+            v: 1 + _below(bits, 4)
             for v in range(n)
             if v != left and v != right
         }

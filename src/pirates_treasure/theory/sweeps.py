@@ -73,7 +73,9 @@ from ..solver import (
     final_scores,
 )
 from .families import (
+    MAX_DRAW_N,
     MAX_ENUMERATION_N,
+    _below,
     _mask_count,
     connected_adjacencies,
     distinguishing_context,
@@ -175,6 +177,12 @@ def _require_at_least(key: str, value: int, least: int) -> None:
         raise ValidationError(f"{key} must be at least {least}, got {value}")
 
 
+def _require_between(key: str, value: int, least: int, most: int) -> None:
+    _require_at_least(key, value, least)
+    if value > most:
+        raise ValidationError(f"{key} must be at most {most}, got {value}")
+
+
 #: Edge masks or seeds per item of every sweep: small enough that the
 #: default exhaustive sizes (n <= 5, 1,024 masks at 5) still spread over
 #: two workers.  The reduction makes 136 items at n <= 6 and 8,192 at n = 7.
@@ -246,11 +254,14 @@ def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
 
 
 def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
-    """One board per seed, drawn from ``Random(seed)`` as
-    ``random_ptx_instance(rng.randint(2, max_n), 1, rng)`` draws it."""
+    """One board per seed, as ``random_ptx_instance(rng.randint(2, max_n),
+    1, rng)`` draws it from ``rng = Random(seed)``: one generator, reseeded
+    per seed, read only through ``getrandbits()`` and ``random()``."""
+    rng = random.Random()
+    bits = rng.getrandbits
     for seed in seeds:
-        rng = random.Random(seed)
-        yield random_uniform_bits(rng.randint(2, max_n), rng)
+        rng.seed(seed)
+        yield random_uniform_bits(2 + _below(bits, max_n - 1), rng)
 
 
 def _uniform_sweep(
@@ -260,7 +271,7 @@ def _uniform_sweep(
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
     family's pile value (1 or -1) and the node budget bound."""
     _require_at_least("random_trials", random_trials, 0)
-    _require_at_least("random_max_n", random_max_n, 2)
+    _require_between("random_max_n", random_max_n, 2, MAX_DRAW_N)
     if max_exhaustive_n > MAX_ENUMERATION_N:
         raise ValidationError(
             f"{name} sweep supports max_exhaustive_n <= {MAX_ENUMERATION_N}, "
@@ -484,12 +495,14 @@ _AFTER_LEFT_FIRST = {
 
 def _pairs(seeds: range, max_n: int) -> Iterator[tuple[tuple, tuple]]:
     """Two uniform boards per seed, each (adjacency, Left berth, Right
-    berth), drawn from ``Random(seed)`` as two ``random_ptx_instance``
-    calls draw them."""
+    berth), as two ``random_ptx_instance`` calls draw them from
+    ``Random(seed)``, read as in :func:`_drawn`."""
+    rng = random.Random()
+    bits = rng.getrandbits
     for seed in seeds:
-        rng = random.Random(seed)
-        a = random_uniform_bits(rng.randint(2, max_n), rng)
-        yield a, random_uniform_bits(rng.randint(2, max_n), rng)
+        rng.seed(seed)
+        a = random_uniform_bits(2 + _below(bits, max_n - 1), rng)
+        yield a, random_uniform_bits(2 + _below(bits, max_n - 1), rng)
 
 
 def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
@@ -531,7 +544,7 @@ def check_outcome_table(
     """Random pairs of boards with piles of 1, so any x > 0: the sum's class
     stays inside its cell."""
     _require_at_least("trials", trials, 1)
-    _require_at_least("max_component_n", max_component_n, 2)
+    _require_between("max_component_n", max_component_n, 2, MAX_DRAW_N)
     blocks = _seeded(_pairs, seed, trials, max_component_n)
     params = {"trials": trials, "max_component_n": max_component_n, "x": 1, "seed": seed}
     return _sweep("table", partial(_table_check, budget), blocks, jobs, params)
@@ -592,10 +605,13 @@ def _left_first_sign(boards: Sequence[Instance], budget: int) -> int:
 
 
 def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
-    """One board per seed, drawn from ``Random(seed)``."""
+    """One board per seed, as ``random_pt_instance(rng.randint(3, max_n),
+    rng)`` draws it from ``rng = Random(seed)``, read as in :func:`_drawn`."""
+    rng = random.Random()
+    bits = rng.getrandbits
     for seed in seeds:
-        rng = random.Random(seed)
-        yield (random_pt_instance(rng.randint(3, max_n), rng),)
+        rng.seed(seed)
+        yield (random_pt_instance(3 + _below(bits, max_n - 2), rng),)
 
 
 def _distinguishing_check(budget: int, inst: Instance) -> Violation | None:
@@ -621,7 +637,7 @@ def check_distinguishing(
     """The overweight-edge context always separates a board with a mobile
     Left ship from the empty game, Left moving first."""
     _require_at_least("trials", trials, 1)
-    _require_at_least("max_n", max_n, 3)
+    _require_between("max_n", max_n, 3, MAX_DRAW_N)
     blocks = _seeded(_drawn_pt, seed, trials, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}
     return _sweep("distinguishing", partial(_distinguishing_check, budget), blocks, jobs, params)

@@ -186,6 +186,10 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
             ["reduction", "--seed", "3"],
             "verify reduction takes no --seeds or --seed: it draws no random boards",
         ),
+        (
+            ["table", "--max-n", "100000", "--seeds", "1"],
+            "max_component_n must be at most 64, got 100000",
+        ),
     ],
 )
 def test_verify_rejects_sweeps_that_would_crash_or_check_nothing(

@@ -353,6 +353,23 @@ def test_block_edges_keep_the_violation_order(monkeypatch):
         (check_outcome_table, dict(max_component_n=1), "max_component_n must be at least 2, got 1"),
         (check_distinguishing, dict(trials=0), "trials must be at least 1, got 0"),
         (check_distinguishing, dict(max_n=2), "max_n must be at least 3, got 2"),
+        # a draw of unbounded size runs unbudgeted: refused before anything is drawn
+        (
+            check_no_p_positions,
+            dict(random_max_n=65),
+            "random_max_n must be at most 64, got 65",
+        ),
+        (
+            check_self_sum_tie,
+            dict(random_max_n=100_000),
+            "random_max_n must be at most 64, got 100000",
+        ),
+        (
+            check_outcome_table,
+            dict(max_component_n=100_000),
+            "max_component_n must be at most 64, got 100000",
+        ),
+        (check_distinguishing, dict(max_n=65), "max_n must be at most 64, got 65"),
     ],
 )
 def test_sweeps_reject_inputs_that_crash_or_check_nothing(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -26,9 +27,14 @@ from pirates_treasure.theory import (
     random_pt_instance,
     random_ptx_instance,
     reduce_from_hampath,
+    sweeps,
     uniform_instance,
 )
-from pirates_treasure.theory.families import graph_from_bits, random_connected_adjacency
+from pirates_treasure.theory.families import (
+    MAX_DRAW_N,
+    graph_from_bits,
+    random_connected_adjacency,
+)
 from pirates_treasure.theory.reduction import gadget_board, hampath_from
 
 L = Player.LEFT
@@ -113,6 +119,88 @@ def test_random_connected_graph_matches_the_set_based_draw():
         assert drawn.edges == _set_based_draw(n, reference)
         # the same numbers were drawn, so later draws stay in step
         assert ours.random() == reference.random()
+
+
+def _set_based_board(n, rng):
+    """Reference for a board of the uniform draws: the set-based graph, then
+    the berths as ``sample`` picks them."""
+    edges = _set_based_draw(n, rng)
+    left, right = rng.sample(range(n), 2)
+    return edges, left, right
+
+
+def _set_based_pt(n, rng):
+    """Reference for :func:`random_pt_instance`: piles from ``randint(1, 4)``,
+    drawn again until Left has a first move."""
+    while True:
+        edges, left, right = _set_based_board(n, rng)
+        piles = {v: rng.randint(1, 4) for v in range(n) if v != left and v != right}
+        if any(left in e and right not in e for e in edges):
+            return edges, piles, left, right
+
+
+def _bits_board(adj, left, right):
+    return graph_from_bits(adj).edges, left, right
+
+
+def _pt_board(inst):
+    return inst.graph.edges, inst.weights, *inst.left_starts, *inst.right_starts
+
+
+@pytest.mark.parametrize("max_n", [7, 9])
+def test_drawn_boards_match_the_randint_and_sample_draw(max_n):
+    seeds = range(2000)
+    expected = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        expected.append(_set_based_board(rng.randint(2, max_n), rng))
+    assert [_bits_board(*board) for board in sweeps._drawn(seeds, max_n)] == expected
+
+
+def test_drawn_pairs_match_the_randint_and_sample_draw():
+    seeds = range(2000)
+    expected = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = _set_based_board(rng.randint(2, 5), rng)
+        expected.append((a, _set_based_board(rng.randint(2, 5), rng)))
+    drawn = [(_bits_board(*a), _bits_board(*b)) for a, b in sweeps._pairs(seeds, 5)]
+    assert drawn == expected
+
+
+def test_drawn_pt_boards_match_the_randint_and_sample_draw():
+    seeds = range(2000)
+    expected = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        expected.append(_set_based_pt(rng.randint(3, 7), rng))
+    assert [_pt_board(inst) for (inst,) in sweeps._drawn_pt(seeds, 7)] == expected
+
+
+@pytest.mark.parametrize("lo, hi, seeds", [(3, 9, 2000), (22, MAX_DRAW_N, 200)])
+def test_raw_bit_draws_keep_the_generator_in_step(lo, hi, seeds):
+    # past 21 vertices sample picks the berths by rejection, not from a pool
+    for seed in range(seeds):
+        ours, reference = random.Random(seed), random.Random(seed)
+        n = ours.randint(lo, hi)
+        assert reference.randint(lo, hi) == n
+        assert _pt_board(random_pt_instance(n, ours)) == _set_based_pt(n, reference)
+        assert ours.random() == reference.random()
+
+
+#: sha256 of the repr of the first 1,000 seeded boards of the uniform sweeps
+#: (``_drawn`` at max_n 9) and of the table (``_pairs`` at max_n 5): a
+#: change of Python or of the draw that changes a checked board fails here.
+DRAWN_DIGEST = "b84f87c7d25cb2c04f5ed695f2faed37aa64a9a6f2b1a39f58ea472280396f5a"
+PAIRS_DIGEST = "c3ab83fc0b63099168b4c0e551feb0a41aa38324e3980573df4fea6699f3939a"
+
+
+def test_seeded_sweep_boards_are_pinned():
+    def digest(boards):
+        return hashlib.sha256(repr(list(boards)).encode()).hexdigest()
+
+    assert digest(sweeps._drawn(range(1000), 9)) == DRAWN_DIGEST
+    assert digest(sweeps._pairs(range(1000), 5)) == PAIRS_DIGEST
 
 
 def test_random_ptx_instance_is_uniform():
