@@ -38,8 +38,10 @@ zero-window search of its packed child shows the opponent gets at most
 ``w - v``.  The principal variation takes, at each step, the first move
 in (ship, target vertex) order that passes the same test, and steps to
 that child with value ``w - v``.
-``minimax_final_score`` is a deliberately plain exhaustive recursion kept
-as a reference implementation; the test suite holds the two routes equal.
+``minimax_final_score`` and ``greedy_score`` are reference routes over
+one deliberately plain exhaustive recursion, with no table and no
+pruning; in ``greedy_score`` the greedy side is offered only its grab.
+The test suite holds minimax and the solver equal.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ class Search:
     """Negamax alpha-beta with a transposition table over one board.
 
     The board is ``adj``, each vertex's neighbor bitmask, and ``wt``, each
-    vertex's pile value (0 on berths).  A pile counts for whoever takes it,
-    so :meth:`value` scores from the mover's side and one move loop serves
-    both players.  ``stuck`` is what a mover with no move gets: 0 in
+    vertex's pile value (a berth's is never read).  A pile counts for
+    whoever takes it, so :meth:`value` scores from the mover's side and one
+    move loop serves both players.  ``stuck`` is what a mover with no move gets: 0 in
     scoring play, -1 in normal play, +1 in misere play.  The table key
     packs (mover's fleet, other fleet, plundered) masks into one int
     without the side to move, so a state and its mirror image (fleets
@@ -443,85 +445,59 @@ def greedy_score(
     first_player: Player,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """Terminal score when one player is a treasure-grabbing automaton.
+    """Final score when one player is a treasure-grabbing automaton.
 
     The greedy player always slides to the highest-value reachable vertex
     (ties: lowest vertex id, then lowest ship index); the opponent plays
-    optimally against that fixed policy.  Values are taken from the
-    mover's side, as in :class:`Search`.
+    optimally against that fixed policy.  Every position of the playout
+    tree counts against ``budget``.
     """
-    _one_ship_per_vertex(inst.left_starts, inst.right_starts)
-    adj = inst.graph.adjacency_bits
-    wt = inst.pile_values
-    budget_box = [0]
-    memo: dict = {}
+    return _playout(initial_position(inst, first_player), greedy_player, budget, "greedy playout")
 
-    def rec(ships, others, visited, greedy_moves):
-        budget_box[0] += 1
-        if budget_box[0] > budget:
-            raise BudgetExceededError(budget, "greedy playout")
+
+def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Reference result: plain exhaustive minimax, no table, no pruning."""
+    return _playout(pos, None, budget, "reference minimax")
+
+
+def _playout(pos: Position, greedy: Player | None, budget: int, what: str) -> int:
+    """Final score of plain minimax from ``pos``: no table, no pruning, and
+    every position counted against ``budget``.  The ``greedy`` side, when
+    set, is offered only its grab: the highest pile, then the lowest
+    vertex, then the lowest ship index."""
+    _one_ship_per_vertex(pos.left_ships, pos.right_ships)
+    adj = pos.instance.graph.adjacency_bits
+    wt = pos.instance.pile_values
+    greedy_left = None if greedy is None else greedy is Player.LEFT
+    counter = [0]
+
+    def rec(lships, rships, visited, left_to_move):
+        counter[0] += 1
+        if counter[0] > budget:
+            raise BudgetExceededError(budget, what)
+        ships = lships if left_to_move else rships
         moves = []
         for si in range(len(ships)):
             m = adj[ships[si]] & ~visited
             while m:
                 b = m & -m
                 m ^= b
-                moves.append((si, b.bit_length() - 1, b))
+                to = b.bit_length() - 1
+                moves.append((-wt[to], to, si))
         if not moves:
             return 0
-        key = (ships, others, visited, greedy_moves)
-        if key in memo:
-            return memo[key]
-
-        def child(si, to, bit):
+        if left_to_move is greedy_left:
+            moves = [min(moves)]
+        results = []
+        for _, to, si in moves:
             tmp = list(ships)
             tmp[si] = to
             tmp.sort()
-            return wt[to] - rec(others, tuple(tmp), visited | bit, not greedy_moves)
-
-        if greedy_moves:
-            result = child(*min(moves, key=lambda t: (-wt[t[1]], t[1], t[0])))
-        else:
-            result = max(child(*m) for m in moves)
-        memo[key] = result
-        return result
-
-    pos = initial_position(inst, first_player)
-    visited = sum(1 << v for v in pos.visited)
-    ships, others = pos.ships_of(first_player), pos.ships_of(first_player.opponent)
-    to_come = rec(ships, others, visited, greedy_player is first_player)
-    return pos.score + to_come if first_player is Player.LEFT else pos.score - to_come
-
-
-def minimax_final_score(pos: Position, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Reference result: plain exhaustive minimax, no table, no pruning."""
-    _one_ship_per_vertex(pos.left_ships, pos.right_ships)
-    adj = pos.instance.graph.adjacency_bits
-    wt = pos.instance.pile_values
-    counter = [0]
-
-    def rec(lships, rships, visited, left_to_move):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(budget, "reference minimax")
-        ships = lships if left_to_move else rships
-        results = []
-        for si in range(len(ships)):
-            m = adj[ships[si]] & ~visited
-            while m:
-                b = m & -m
-                m ^= b
-                to = b.bit_length() - 1
-                tmp = list(ships)
-                tmp[si] = to
-                tmp.sort()
-                nt = tuple(tmp)
-                if left_to_move:
-                    results.append(wt[to] + rec(nt, rships, visited | b, False))
-                else:
-                    results.append(-wt[to] + rec(lships, nt, visited | b, True))
-        if not results:
-            return 0
+            nt = tuple(tmp)
+            if left_to_move:
+                results.append(wt[to] + rec(nt, rships, visited | 1 << to, False))
+            else:
+                results.append(-wt[to] + rec(lships, nt, visited | 1 << to, True))
         return max(results) if left_to_move else min(results)
 
     visited = sum(1 << v for v in pos.visited)

@@ -54,15 +54,14 @@ def gadget_board(
     grafted onto it.  The graft's one edge joins the berth ``L`` to
     Right's berth ``n``, and both are plundered at the root, so no ship
     ever crosses it: the board without it plays the same game from every
-    berth's root.  Every pile is 1 except Right's berth; ``L``'s pile is
-    never taken.  A one-vertex graph has no path and no Right ship.
+    berth's root.  Every pile is 1; the berths' piles are never taken.
+    A one-vertex graph has no path and no Right ship.
     """
     n = len(adj)
     board = list(adj)
     wt = [1] * (2 * n - 1)
     if n < 2:
         return board, wt, [(1, 0, 1)]
-    wt[n] = 0
     board += [0] * (n - 1)
     for fresh in range(n, 2 * n - 2):
         board[fresh] |= 1 << fresh + 1

@@ -449,6 +449,24 @@ def test_greedy_score_matches_position_reference():
                 assert got == expected, f"seed {seed}, greedy {greedy}, {first} first"
 
 
+def test_greedy_budget_counts_the_whole_playout_tree(monkeypatch):
+    inst = random_instance(8, 0.7, (1, 3), 1, 1, seed=3)
+    assert greedy_score(inst, R, L, budget=120) == 4
+    with pytest.raises(BudgetExceededError, match="^greedy playout exceeded node budget of 119$"):
+        greedy_score(inst, R, L, budget=119)
+    # one node per position the rules-level reference visits
+    visits = []
+    reference = _greedy_reference
+
+    def counted(pos, greedy_player):
+        visits.append(pos)
+        return reference(pos, greedy_player)
+
+    monkeypatch.setitem(globals(), "_greedy_reference", counted)
+    assert counted(initial_position(inst, L), R) == 4
+    assert len(visits) == 120
+
+
 def _side_by_side(boards) -> Instance:
     """The boards as one disconnected board, each shifted past the ones
     before it: the union the kernel packs, built without it."""

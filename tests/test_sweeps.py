@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pirates_treasure import fixtures
 from pirates_treasure.algebra import negate_instance
 from pirates_treasure.engine import Player, initial_position
 from pirates_treasure.errors import BudgetExceededError, ParseError, ValidationError
@@ -121,6 +122,17 @@ def test_table_witnesses_cover_multivalued_cells():
     report = check_table_witnesses()
     assert report.passed
     assert report.checked == 16  # 8 published sums, each also mirrored
+
+
+def test_a_missing_table_witness_is_reported(monkeypatch):
+    # case 3_3 (and its mirror) is the cell L + R's only N witness
+    cases = {case: v for case, v in fixtures.TAB_CASES.items() if case != "3_3"}
+    monkeypatch.setattr(fixtures, "TAB_CASES", cases)
+    report = check_table_witnesses()
+    assert report.checked == 14
+    assert report.violations == [
+        Violation("cell L + R", "a witness for each of L/N/R/TIE", "missing N")
+    ]
 
 
 def test_self_sum_sweep_small():
