@@ -24,31 +24,28 @@ The reduction, uniform-value and table checks work on raw bitmasks.  The
 reduction builds one gadget board and one search per graph
 (:func:`~.reduction.gadget_board`) and sets each berth's packed root on
 it, one zero-window search each, against the path oracle; the berths of
-a graph share the search's table.  A uniform
-check (no P positions when every pile is worth 1, no N positions at -1,
-a board plus its mirror ties) asks only its own question: it packs
-the two roots, each three vertex masks (mover's fleet, other fleet,
-plundered; a board beside its mirror holds two ships a side), and runs
-zero-window searches that stop at the first root that rules the class
-out.  It asks once per berth pair: the board with berths (b, a) has the
-adjacency, piles and packed roots of the board with (a, b), the roots in
-the other order, so it takes the verdict that (a, b) got earlier on the
-same graph.  The table check takes each summand's class from the
-signs of its two first movers' results, windows ``(-1, 1)``, and searches
-the boards side by side for Left first, then for Right first only when
-that sign leaves the sum's cell open.  Each uniform claim covers every
-x > 0 at once: scaling every pile by x scales every final score by x and
-keeps every sign, so the sweeps check x = 1.  A violating board's class
-comes from :func:`_sign_class` on the bitmask board searched (a self-sum
-beside its mirror, a table pair side by side), and only then is it
-built as an :class:`~pirates_treasure.model.Instance`, to be written
-out.  The distinguishing check reads only the signs of Left-first
-scores, each from one search in a window around its banked score, and
-computes exact scores only to word a violation.
-A self-sum, a board beside its mirror, searches its Left-first root alone:
-swapping the two components maps one root onto the other.  So at a tight
-node budget a self-sum may pass where the Right-first root would have
-exceeded it.
+a graph share the search's table.  The three uniform checks (no P
+positions when every pile is worth 1, no N positions at -1, a board plus
+its mirror ties) are one routine, :func:`_uniform_check`, bound with a
+board builder and a class predicate.  It packs the two roots, each three
+vertex masks (mover's fleet, other fleet, plundered; a board beside its
+mirror holds two ships a side), and the predicate runs zero-window
+searches that stop at the first root that settles it.  It asks once per
+berth pair: the board with berths (b, a) has the adjacency, piles and
+packed roots of the board with (a, b), the roots in the other order, so
+it takes the verdict that (a, b) got earlier on the same graph.  The
+table check takes each summand's class from the signs of its two first
+movers' results, windows ``(-1, 1)``, and searches the boards side by
+side for Left first, then for Right first only when that sign leaves the
+sum's cell open.  Each uniform claim covers every x > 0 at once: scaling
+every pile by x scales every final score by x and keeps every sign, so
+the sweeps check x = 1.  A violating board's class comes from
+:func:`_sign_class` on the bitmask board searched (a self-sum beside its
+mirror, a table pair side by side), and only then is it built as an
+:class:`~pirates_treasure.model.Instance`, to be written out.  The
+distinguishing check reads only the signs of Left-first scores, each
+from one search in a window around its banked score, and computes exact
+scores only to word a violation.
 """
 
 from __future__ import annotations
@@ -249,7 +246,8 @@ def check_reduction_sweep(
 
 
 def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
-    """Blocks of ``trials`` consecutive seeds from ``seed``, for ``boards(seeds, *args)``."""
+    """Blocks of ``trials`` consecutive seeds from ``seed``, for ``boards(seeds, *args)``.
+    Seeds are at least 0: ``Random(-k)`` draws what ``Random(k)`` draws."""
     return [(boards, (seeds, *args)) for seeds in _blocks(seed, seed + trials)]
 
 
@@ -271,6 +269,7 @@ def _uniform_sweep(
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
     family's pile value (1 or -1) and the node budget bound."""
     _require_at_least("random_trials", random_trials, 0)
+    _require_at_least("seed", seed, 0)
     _require_between("random_max_n", random_max_n, 2, MAX_DRAW_N)
     if max_exhaustive_n > MAX_ENUMERATION_N:
         raise ValidationError(
@@ -372,41 +371,37 @@ def _is_tie(search: Search, roots) -> bool:
     return all(search.value(*root, -1, 1) == 0 for root in roots)
 
 
-def _class_is_not(
-    forbidden: OutcomeClass, has_class: Callable, value, budget, adj, left, right, verdicts
+def _mirrored(adj, left, right, value):
+    """A uniform board beside its mirror, the same board with the berths
+    swapped: Left holds (left, right + n)."""
+    return _beside(_uniform(adj, left, right, value), _uniform(adj, right, left, value))
+
+
+def _no_tie(search: Search, roots) -> bool:
+    """A board beside its mirror misses the tie, from the Left-first root
+    alone: swapping the two components keeps the adjacency, the piles and
+    the plundered set and maps Left's fleet onto Right's, so the
+    Right-first root has the same value to its mover.  So at a tight node
+    budget a self-sum may pass where the Right-first root would not."""
+    return not _is_tie(search, roots[:1])
+
+
+def _uniform_check(
+    expected, board_of: Callable, violates: Callable, value, budget, adj, left, right, verdicts
 ) -> Violation | None:
+    """``violates`` on the packed roots of ``board_of(adj, left, right,
+    value)``, once per berth pair: ``verdicts`` holds ``True`` for a
+    violation.  Only a violating board is searched for its class."""
     berths = 1 << left | 1 << right
     hit = verdicts.get(berths)
     if hit is None:
-        board = _uniform(adj, left, right, value)
-        hit = verdicts[berths] = has_class(*_search_roots(board, budget))
+        board = board_of(adj, left, right, value)
+        hit = verdicts[berths] = violates(*_search_roots(board, budget))
     if not hit:
         return None
-    got = _sign_class(_uniform(adj, left, right, value), budget)
+    got = _sign_class(board_of(adj, left, right, value), budget)
     text = serialize_instance(_instance(adj, left, right, value))
-    return Violation(text, f"class != {forbidden}", f"class = {got}")
-
-
-def _ties_with_mirror(budget, adj, left, right, verdicts) -> Violation | None:
-    """The board and its mirror side by side: the mirror is the same board
-    with the berths swapped, so Left holds (left, right + n).
-
-    Only the Left-first root is searched.  Swapping the two components
-    keeps the adjacency, the piles and the plundered set and maps Left's
-    fleet onto Right's, so the Right-first root has the same value to its
-    mover."""
-    berths = 1 << left | 1 << right
-    tie = verdicts.get(berths)
-    if tie:
-        return None
-    board = _beside(_uniform(adj, left, right, 1), _uniform(adj, right, left, 1))
-    if tie is None:
-        search, roots = _search_roots(board, budget)
-        tie = verdicts[berths] = _is_tie(search, roots[:1])
-        if tie:
-            return None
-    text = serialize_instance(_instance(adj, left, right, 1))
-    return Violation(text, "board + mirror ties", f"class = {_sign_class(board, budget)}")
+    return Violation(text, expected, f"class = {got}")
 
 
 def check_no_p_positions(
@@ -419,7 +414,7 @@ def check_no_p_positions(
 ) -> SweepReport:
     """Every pile worth 1, so any x > 0: the second player never wins outright."""
     return _uniform_sweep(
-        "pt-x", partial(_class_is_not, OutcomeClass.P, _is_p, 1, budget),
+        "pt-x", partial(_uniform_check, "class != P", _uniform, _is_p, 1, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
@@ -434,7 +429,7 @@ def check_no_n_positions(
 ) -> SweepReport:
     """Every pile worth -1, so any -x < 0: the first player never wins outright."""
     return _uniform_sweep(
-        "pt-negx", partial(_class_is_not, OutcomeClass.N, _is_n, -1, budget),
+        "pt-negx", partial(_uniform_check, "class != N", _uniform, _is_n, -1, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
@@ -449,7 +444,7 @@ def check_self_sum_tie(
 ) -> SweepReport:
     """Any board with piles of 1, so any x > 0, plus its mirror plays to a dead tie."""
     return _uniform_sweep(
-        "self-sum", partial(_ties_with_mirror, budget),
+        "self-sum", partial(_uniform_check, "board + mirror ties", _mirrored, _no_tie, 1, budget),
         max_exhaustive_n, random_trials, random_max_n, seed, jobs,
     )
 
@@ -544,6 +539,7 @@ def check_outcome_table(
     """Random pairs of boards with piles of 1, so any x > 0: the sum's class
     stays inside its cell."""
     _require_at_least("trials", trials, 1)
+    _require_at_least("seed", seed, 0)
     _require_between("max_component_n", max_component_n, 2, MAX_DRAW_N)
     blocks = _seeded(_pairs, seed, trials, max_component_n)
     params = {"trials": trials, "max_component_n": max_component_n, "x": 1, "seed": seed}
@@ -637,6 +633,7 @@ def check_distinguishing(
     """The overweight-edge context always separates a board with a mobile
     Left ship from the empty game, Left moving first."""
     _require_at_least("trials", trials, 1)
+    _require_at_least("seed", seed, 0)
     _require_between("max_n", max_n, 3, MAX_DRAW_N)
     blocks = _seeded(_drawn_pt, seed, trials, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}

@@ -190,6 +190,8 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
             ["table", "--max-n", "100000", "--seeds", "1"],
             "max_component_n must be at most 64, got 100000",
         ),
+        (["pt-x", "--seed", "-5"], "seed must be at least 0, got -5"),
+        (["table", "--seed", "-1"], "seed must be at least 0, got -1"),
     ],
 )
 def test_verify_rejects_sweeps_that_would_crash_or_check_nothing(

@@ -210,6 +210,14 @@ def test_report_packs_each_root_once(monkeypatch):
     assert (len(packed), report.nodes_expanded) == (2, 58)
 
 
+def test_a_lower_bound_entry_raises_alpha():
+    # a 6-vertex draw whose node count moves when a lower-bound
+    # table hit stops raising alpha: 39 nodes without the raise
+    report = solve(random_instance(6, 0.7, (1, 4), 1, 1, seed=257))
+    assert report.final_scores == FinalScores(3, -5)
+    assert report.nodes_expanded == 42
+
+
 def test_gadget_on_a_path_from_an_end_takes_no_table_entry():
     # Left walks the path while Right walks the fresh one: all forced
     for n in range(2, 13):

@@ -382,6 +382,12 @@ def test_block_edges_keep_the_violation_order(monkeypatch):
             "max_component_n must be at most 64, got 100000",
         ),
         (check_distinguishing, dict(max_n=65), "max_n must be at most 64, got 65"),
+        # Random(-k) draws what Random(k) draws, so a negative seed repeats boards
+        (check_no_p_positions, dict(seed=-5), "seed must be at least 0, got -5"),
+        (check_no_n_positions, dict(seed=-1), "seed must be at least 0, got -1"),
+        (check_self_sum_tie, dict(seed=-104), "seed must be at least 0, got -104"),
+        (check_outcome_table, dict(seed=-3), "seed must be at least 0, got -3"),
+        (check_distinguishing, dict(seed=-2), "seed must be at least 0, got -2"),
     ],
 )
 def test_sweeps_reject_inputs_that_crash_or_check_nothing(
@@ -600,6 +606,44 @@ def test_berth_twins_are_each_reported_in_enumeration_order(monkeypatch, jobs):
     )
     assert set(berths.values()) == {2}
     assert 0 < sum(berths.values()) < len(expected)
+
+
+def _no_tie_off_the_chosen_graphs(search, roots):
+    """A tie predicate that fails on the chosen graphs alone, whatever the berths."""
+    return not _chosen(search.adj)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_self_sum_twins_are_each_reported_in_enumeration_order(monkeypatch, jobs):
+    # the twin memo holds "violates" for a self-sum as for pt-x: a failing
+    # pair's twin is reported unsearched, a passing pair's twin is not
+    monkeypatch.setattr(sweeps, "_is_tie", _no_tie_off_the_chosen_graphs)
+    monkeypatch.setattr(sweeps, "_BLOCK", 7)
+    report = check_self_sum_tie(
+        max_exhaustive_n=4, random_trials=30, random_max_n=6, seed=21, jobs=jobs
+    )
+    boards = [inst for n in range(2, 5) for inst in enumerate_ptx(n, 1)]
+    for seed in range(21, 51):
+        rng = random.Random(seed)
+        boards.append(random_ptx_instance(rng.randint(2, 6), 1, rng))
+    expected = [
+        Violation(
+            serialize_instance(inst),
+            "board + mirror ties",
+            f"class = {classify(final_scores(inst, negate_instance(inst)))}",
+        )
+        for inst in boards
+        if _chosen(inst.graph.adjacency_bits)
+    ]
+    assert report.checked == 482 + 30
+    assert report.violations == expected
+    berths = Counter(
+        (inst.graph, frozenset(inst.left_starts + inst.right_starts))
+        for inst in boards[:482]
+        if _chosen(inst.graph.adjacency_bits)
+    )
+    assert set(berths.values()) == {2}
+    assert 0 < sum(berths.values()) < len(expected) < len(boards)
 
 
 def test_table_sweep_words_each_violation_as_the_exact_scores_do(monkeypatch):
