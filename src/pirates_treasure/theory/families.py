@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from ..errors import ValidationError
-from ..model import Graph, Instance, adjacency_connected, validate
+from ..model import Graph, Instance, adjacency_connected
 
 #: Largest vertex count that exhaustive enumeration supports.
 MAX_ENUMERATION_N = 7
@@ -194,7 +194,8 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
     """Random connected board with piles worth 1 to 4, one ship per side.
 
     The draw is repeated until the Left ship has at least one unplundered
-    neighbor, i.e. Left can actually move first.
+    neighbor, i.e. Left can actually move first.  Each try draws its piles
+    before that test, keeping the generator in step; only the last is built.
     """
     if n < 2:
         raise ValidationError("need room for two ships")
@@ -204,16 +205,9 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
     bits = rng.getrandbits
     while True:
         adj, left, right = random_uniform_bits(n, rng)
-        graph = graph_from_bits(adj)
-        weights = {
-            v: 1 + _below(bits, 4)
-            for v in range(n)
-            if v != left and v != right
-        }
-        inst = Instance(graph, weights, (left,), (right,))
-        validate(inst)
+        weights = {v: 1 + _below(bits, 4) for v in range(n) if v != left and v != right}
         if adj[left] & ~(1 << right):
-            return inst
+            return Instance(graph_from_bits(adj), weights, (left,), (right,))
 
 
 def distinguishing_context(g_inst: Instance) -> Instance:

@@ -4,17 +4,19 @@ Each sweep checks one structural claim on every board of a family and
 returns a :class:`SweepReport` with every counterexample found.  All
 sweeps share one pipeline.  An item is a block ``(boards, args)``: a
 module-level board source and its arguments, such as a range of edge
-masks of one size or a range of seeds.  One worker, :func:`_block`,
-expands the block with ``boards(*args)`` and calls the sweep's per-board
-check ``check(*board)``, a :func:`functools.partial` over the check's
-fixed arguments (they come first), which returns a :class:`Violation` or
-``None``.  It counts the boards and keeps the violations in board order;
-:func:`_sweep` adds up the blocks in item order, in this process or over
-one process pool, so splitting the work never changes the result, only
-the wall time.  No board crosses the pool, and blocks go in chunks of
-about an eighth of a worker's share, so n = 7 (8,192 blocks) keeps only
-16 tasks pending at ``jobs=2``.  Sweeps are deterministic for fixed
-parameters.
+masks of one size, or a range of seeds that the one loop :func:`_draws`
+hands one by one to a sweep's per-seed draw (:func:`_seeded` checks the
+seed and the draw size for all five seeded sweeps).  One worker,
+:func:`_block`, expands the block with ``boards(*args)`` and calls the
+sweep's per-board check ``check(*board)``, a :func:`functools.partial`
+over the check's fixed arguments (they come first), which returns a
+:class:`Violation` or ``None``.  It counts the boards and keeps the
+violations in board order; :func:`_sweep` adds up the blocks in item
+order, in this process or over one process pool, so splitting the work
+never changes the result, only the wall time.  No board crosses the
+pool, and blocks go in chunks of about an eighth of a worker's share, so
+n = 7 (8,192 blocks) keeps only 16 tasks pending at ``jobs=2``.  Sweeps
+are deterministic for fixed parameters.
 The pool's modules (``concurrent.futures``, ``multiprocessing``) load on
 the first sweep run with ``jobs > 1`` over more than one block, and the
 fixture boards only in :func:`check_table_witnesses`, so importing the
@@ -192,6 +194,28 @@ def _blocks(start: int, stop: int) -> Iterator[range]:
         yield range(first, min(first + _BLOCK, stop))
 
 
+def _seeded(
+    draw: Callable, seed: int, trials: int, key: str, least_n: int, max_n: int
+) -> list[tuple]:
+    """The seeded sweeps' blocks: ``trials`` consecutive seeds from ``seed``,
+    each drawn by :func:`_draws` with the per-seed ``draw`` at ``max_n``.
+    Seeds are at least 0, since ``Random(-k)`` draws what ``Random(k)``
+    draws, and ``max_n``, named ``key``, lies in ``least_n..MAX_DRAW_N``:
+    no node budget stops a draw."""
+    _require_at_least("seed", seed, 0)
+    _require_between(key, max_n, least_n, MAX_DRAW_N)
+    return [(_draws, (draw, seeds, max_n)) for seeds in _blocks(seed, seed + trials)]
+
+
+def _draws(draw: Callable, seeds: range, max_n: int) -> Iterator:
+    """``draw(rng, max_n)`` for ``rng = Random(seed)``, one seed after
+    another: one generator, reseeded per seed."""
+    rng = random.Random()
+    for seed in seeds:
+        rng.seed(seed)
+        yield draw(rng, max_n)
+
+
 # ---------------------------------------------------------------------------
 # Reduction sweep: solver verdict vs path oracle
 
@@ -245,21 +269,10 @@ def check_reduction_sweep(
 # Uniform-value families: one driver, one check per board
 
 
-def _seeded(boards: Callable, seed: int, trials: int, *args) -> list[tuple]:
-    """Blocks of ``trials`` consecutive seeds from ``seed``, for ``boards(seeds, *args)``.
-    Seeds are at least 0: ``Random(-k)`` draws what ``Random(k)`` draws."""
-    return [(boards, (seeds, *args)) for seeds in _blocks(seed, seed + trials)]
-
-
-def _drawn(seeds: range, max_n: int) -> Iterator[tuple[list[int], int, int]]:
-    """One board per seed, as ``random_ptx_instance(rng.randint(2, max_n),
-    1, rng)`` draws it from ``rng = Random(seed)``: one generator, reseeded
-    per seed, read only through ``getrandbits()`` and ``random()``."""
-    rng = random.Random()
-    bits = rng.getrandbits
-    for seed in seeds:
-        rng.seed(seed)
-        yield random_uniform_bits(2 + _below(bits, max_n - 1), rng)
+def _drawn(rng: random.Random, max_n: int) -> tuple[list[int], int, int]:
+    """A board as ``random_ptx_instance(rng.randint(2, max_n), 1, rng)``
+    draws it, read only through ``getrandbits()`` and ``random()``."""
+    return random_uniform_bits(2 + _below(rng.getrandbits, max_n - 1), rng)
 
 
 def _uniform_sweep(
@@ -269,8 +282,7 @@ def _uniform_sweep(
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
     family's pile value (1 or -1) and the node budget bound."""
     _require_at_least("random_trials", random_trials, 0)
-    _require_at_least("seed", seed, 0)
-    _require_between("random_max_n", random_max_n, 2, MAX_DRAW_N)
+    drawn = _seeded(_drawn, seed, random_trials, "random_max_n", 2, random_max_n)
     if max_exhaustive_n > MAX_ENUMERATION_N:
         raise ValidationError(
             f"{name} sweep supports max_exhaustive_n <= {MAX_ENUMERATION_N}, "
@@ -285,8 +297,7 @@ def _uniform_sweep(
         (uniform_boards_bits, (n, masks))
         for n in range(2, max_exhaustive_n + 1)
         for masks in _blocks(0, _mask_count(n))
-    ]
-    blocks += _seeded(_drawn, seed, random_trials, random_max_n)
+    ] + drawn
     blocks = [(_twins, (boards, *args)) for boards, args in blocks]
     params = dict(
         max_exhaustive_n=max_exhaustive_n, x=1, random_trials=random_trials,
@@ -488,16 +499,9 @@ _AFTER_LEFT_FIRST = {
 }
 
 
-def _pairs(seeds: range, max_n: int) -> Iterator[tuple[tuple, tuple]]:
-    """Two uniform boards per seed, each (adjacency, Left berth, Right
-    berth), as two ``random_ptx_instance`` calls draw them from
-    ``Random(seed)``, read as in :func:`_drawn`."""
-    rng = random.Random()
-    bits = rng.getrandbits
-    for seed in seeds:
-        rng.seed(seed)
-        a = random_uniform_bits(2 + _below(bits, max_n - 1), rng)
-        yield a, random_uniform_bits(2 + _below(bits, max_n - 1), rng)
+def _pairs(rng: random.Random, max_n: int) -> tuple[tuple, tuple]:
+    """Two uniform boards, one :func:`_drawn` after the other."""
+    return _drawn(rng, max_n), _drawn(rng, max_n)
 
 
 def _class_in(cell: frozenset[OutcomeClass], board, budget: int) -> bool:
@@ -539,9 +543,7 @@ def check_outcome_table(
     """Random pairs of boards with piles of 1, so any x > 0: the sum's class
     stays inside its cell."""
     _require_at_least("trials", trials, 1)
-    _require_at_least("seed", seed, 0)
-    _require_between("max_component_n", max_component_n, 2, MAX_DRAW_N)
-    blocks = _seeded(_pairs, seed, trials, max_component_n)
+    blocks = _seeded(_pairs, seed, trials, "max_component_n", 2, max_component_n)
     params = {"trials": trials, "max_component_n": max_component_n, "x": 1, "seed": seed}
     return _sweep("table", partial(_table_check, budget), blocks, jobs, params)
 
@@ -600,14 +602,10 @@ def _left_first_sign(boards: Sequence[Instance], budget: int) -> int:
     return (score > 0) - (score < 0)
 
 
-def _drawn_pt(seeds: range, max_n: int) -> Iterator[tuple[Instance]]:
-    """One board per seed, as ``random_pt_instance(rng.randint(3, max_n),
-    rng)`` draws it from ``rng = Random(seed)``, read as in :func:`_drawn`."""
-    rng = random.Random()
-    bits = rng.getrandbits
-    for seed in seeds:
-        rng.seed(seed)
-        yield (random_pt_instance(3 + _below(bits, max_n - 2), rng),)
+def _drawn_pt(rng: random.Random, max_n: int) -> tuple[Instance]:
+    """A board as ``random_pt_instance(rng.randint(3, max_n), rng)`` draws
+    it, read as in :func:`_drawn`."""
+    return (random_pt_instance(3 + _below(rng.getrandbits, max_n - 2), rng),)
 
 
 def _distinguishing_check(budget: int, inst: Instance) -> Violation | None:
@@ -633,8 +631,6 @@ def check_distinguishing(
     """The overweight-edge context always separates a board with a mobile
     Left ship from the empty game, Left moving first."""
     _require_at_least("trials", trials, 1)
-    _require_at_least("seed", seed, 0)
-    _require_between("max_n", max_n, 3, MAX_DRAW_N)
-    blocks = _seeded(_drawn_pt, seed, trials, max_n)
+    blocks = _seeded(_drawn_pt, seed, trials, "max_n", 3, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}
     return _sweep("distinguishing", partial(_distinguishing_check, budget), blocks, jobs, params)

@@ -388,8 +388,14 @@ def _refuse(*args, **kwargs):
             ["grid", "--cols", "20000", "--rows", "20000"],
             "400000000 vertices, more than the 100000 allowed",
         ),
+        (
+            ["random", "--n", "100000"],
+            "100000 vertices, more than the 1000 a random board may have",
+        ),
     ],
-    ids=["p-above-1", "p-below-0", "random-above-cap", "grid-above-cap"],
+    ids=[
+        "p-above-1", "p-below-0", "random-above-cap", "grid-above-cap", "random-above-draw-cap"
+    ],
 )
 def test_generate_refuses_what_it_cannot_build_at_once(capsys, monkeypatch, argv, err):
     # without the checks these would loop over every vertex pair or cell

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import types
+
 import pytest
 
+from pirates_treasure import model
 from pirates_treasure.errors import ParseError, ValidationError
 from pirates_treasure.model import (
+    MAX_RANDOM_VERTICES,
     MAX_VERTICES,
     Graph,
     GridSpec,
@@ -214,6 +218,17 @@ def test_random_instance_rejects_bad_args():
         random_instance(2, 0.5, (1, 2), 2, 1, seed=0)
     with pytest.raises(ValidationError):
         random_instance(4, 0.5, (3, 1), 1, 1, seed=0)
+
+
+def test_random_instance_refuses_a_board_past_its_cap_before_drawing(monkeypatch):
+    # one draw per vertex pair: past the cap the time and memory run away
+    assert MAX_RANDOM_VERTICES == 1000
+    assert random_instance(1000, 0.0, (1, 2), 1, 1, seed=0).graph.vertex_count == 1000
+    monkeypatch.setattr(model, "random", types.SimpleNamespace(Random=None))
+    for n in (1001, 100_000):
+        with pytest.raises(ValidationError) as exc:
+            random_instance(n, 1.0, (1, 2), 1, 1, seed=0)
+        assert str(exc.value) == f"{n} vertices, more than the 1000 a random board may have"
 
 
 def test_missing_vertex_list_is_cut_short():

@@ -554,6 +554,26 @@ def test_reduction_sweep_expands_the_pinned_nodes(monkeypatch):
     assert sum(len(s.memo) for s in made) == 7041
 
 
+def test_table_sweep_expands_the_pinned_nodes(monkeypatch):
+    # each pair's two summands, then their sum, whose Right-first root is
+    # searched only when Left first's sign leaves the cell open
+    made = []
+
+    class Counting(Search):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sweeps, "Search", Counting)
+    report = check_outcome_table(trials=300, max_component_n=4, seed=103)
+    assert (report.checked, report.passed) == (300, True)
+    assert len(made) == 900
+    assert sum(s.nodes for s in made) == 3839
+    assert sum(len(s.memo) for s in made) == 433
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_reduction_budget_bounds_a_whole_graph(jobs):
     # every n <= 4 berth fits in 12 nodes alone, but some graph's berths

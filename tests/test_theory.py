@@ -9,7 +9,7 @@ from pirates_treasure.algebra import solve_sum, sum_position
 from pirates_treasure.engine import Player, initial_position, legal_moves
 from pirates_treasure.errors import ValidationError
 from pirates_treasure.fixtures import fig_add_b, fig_ex, fig_half
-from pirates_treasure.model import Graph, GridSpec, grid_graph
+from pirates_treasure.model import Graph, GridSpec, grid_graph, serialize_instance
 from pirates_treasure.solver import (
     DEFAULT_NODE_BUDGET,
     Search,
@@ -154,7 +154,7 @@ def test_drawn_boards_match_the_randint_and_sample_draw(max_n):
     for seed in seeds:
         rng = random.Random(seed)
         expected.append(_set_based_board(rng.randint(2, max_n), rng))
-    assert [_bits_board(*board) for board in sweeps._drawn(seeds, max_n)] == expected
+    assert [_bits_board(*board) for board in sweeps._draws(sweeps._drawn, seeds, max_n)] == expected
 
 
 def test_drawn_pairs_match_the_randint_and_sample_draw():
@@ -164,7 +164,7 @@ def test_drawn_pairs_match_the_randint_and_sample_draw():
         rng = random.Random(seed)
         a = _set_based_board(rng.randint(2, 5), rng)
         expected.append((a, _set_based_board(rng.randint(2, 5), rng)))
-    drawn = [(_bits_board(*a), _bits_board(*b)) for a, b in sweeps._pairs(seeds, 5)]
+    drawn = [(_bits_board(*a), _bits_board(*b)) for a, b in sweeps._draws(sweeps._pairs, seeds, 5)]
     assert drawn == expected
 
 
@@ -174,7 +174,7 @@ def test_drawn_pt_boards_match_the_randint_and_sample_draw():
     for seed in seeds:
         rng = random.Random(seed)
         expected.append(_set_based_pt(rng.randint(3, 7), rng))
-    assert [_pt_board(inst) for (inst,) in sweeps._drawn_pt(seeds, 7)] == expected
+    assert [_pt_board(inst) for (inst,) in sweeps._draws(sweeps._drawn_pt, seeds, 7)] == expected
 
 
 @pytest.mark.parametrize("lo, hi, seeds", [(3, 9, 2000), (22, MAX_DRAW_N, 200)])
@@ -199,8 +199,21 @@ def test_seeded_sweep_boards_are_pinned():
     def digest(boards):
         return hashlib.sha256(repr(list(boards)).encode()).hexdigest()
 
-    assert digest(sweeps._drawn(range(1000), 9)) == DRAWN_DIGEST
-    assert digest(sweeps._pairs(range(1000), 5)) == PAIRS_DIGEST
+    assert digest(sweeps._draws(sweeps._drawn, range(1000), 9)) == DRAWN_DIGEST
+    assert digest(sweeps._draws(sweeps._pairs, range(1000), 5)) == PAIRS_DIGEST
+
+
+#: sha256 of the repr of the text form of the first 1,000 seeded boards of
+#: the distinguishing sweep (``_drawn_pt`` at max_n 7).  The stdlib reference
+#: above draws through ``randint`` and ``sample``, which Python does not pin
+#: across releases; this digest pins the boards themselves.
+DRAWN_PT_DIGEST = "03a585972f07dbd7f4d00977dca0f3a09485f679909ce8e1f1c8509675dee653"
+
+
+def test_seeded_distinguishing_boards_are_pinned():
+    boards = sweeps._draws(sweeps._drawn_pt, range(1000), 7)
+    texts = [serialize_instance(inst) for (inst,) in boards]
+    assert hashlib.sha256(repr(texts).encode()).hexdigest() == DRAWN_PT_DIGEST
 
 
 def test_random_ptx_instance_is_uniform():
