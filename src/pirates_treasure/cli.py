@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument(
-        "claim", choices=["pt-x", "pt-negx", "table", "self-sum", "reduction"]
+        "claim", choices=["pt-x", "pt-negx", "table", "self-sum", "reduction", "all"]
     )
     p.add_argument("--max-n", type=int, default=None, help="exhaustive size bound")
     p.add_argument("--seeds", type=int, default=None, help="random trial count")
@@ -306,27 +306,36 @@ def _cmd_verify(args) -> int:
         "table": (check_outcome_table, ("max_component_n", 4), ("trials", 300)),
         "self-sum": (check_self_sum_tie, ("max_exhaustive_n", 3), ("random_trials", 200)),
     }
-    sweep, (size_key, size), seeds = claims[args.claim]
-    kwargs = {
-        size_key: size if args.max_n is None else args.max_n,
-        "jobs": args.jobs,
-        "budget": args.max_nodes,
-    }
-    if seeds is None and (args.seeds is not None or args.seed is not None):
+    if args.claim == "all" and (args.max_n, args.seeds, args.seed) != (None, None, None):
         raise ValidationError(
-            f"verify {args.claim} takes no --seeds or --seed: it draws no random boards"
+            "verify all takes no --max-n, --seeds or --seed: each claim runs at its defaults"
         )
-    if seeds is not None:
-        trials_key, trials = seeds
-        kwargs[trials_key] = trials if args.seeds is None else args.seeds
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    reports = [sweep(**kwargs)]
-    if args.claim == "table":
-        reports.append(check_table_witnesses(budget=args.max_nodes))
-    for report in reports:
-        print(report.summary())
-    return 0 if all(report.passed for report in reports) else 1
+    passed = True
+    # one claim's reports are printed once all of them are in; "all" runs
+    # every claim in turn in this process, so a --jobs pool serves them all
+    for claim in claims if args.claim == "all" else [args.claim]:
+        sweep, (size_key, size), seeds = claims[claim]
+        kwargs = {
+            size_key: size if args.max_n is None else args.max_n,
+            "jobs": args.jobs,
+            "budget": args.max_nodes,
+        }
+        if seeds is None and (args.seeds is not None or args.seed is not None):
+            raise ValidationError(
+                f"verify {claim} takes no --seeds or --seed: it draws no random boards"
+            )
+        if seeds is not None:
+            trials_key, trials = seeds
+            kwargs[trials_key] = trials if args.seeds is None else args.seeds
+            if args.seed is not None:
+                kwargs["seed"] = args.seed
+        reports = [sweep(**kwargs)]
+        if claim == "table":
+            reports.append(check_table_witnesses(budget=args.max_nodes))
+        for report in reports:
+            print(report.summary())
+        passed = passed and all(report.passed for report in reports)
+    return 0 if passed else 1
 
 
 def _cmd_compare(args) -> int:

@@ -17,10 +17,15 @@ never changes the result, only the wall time.  No board crosses the
 pool, and blocks go in chunks of about an eighth of a worker's share, so
 n = 7 (8,192 blocks) keeps only 16 tasks pending at ``jobs=2``.  Sweeps
 are deterministic for fixed parameters.
-The pool's modules (``concurrent.futures``, ``multiprocessing``) load on
-the first sweep run with ``jobs > 1`` over more than one block, and the
-fixture boards only in :func:`check_table_witnesses`, so importing the
-package or running a serial sweep starts neither.
+A process keeps at most one pool alive, and every pooled sweep of that
+worker count runs on it (:func:`_pool_for`), so a run of several sweeps,
+such as ``pirates verify all``, starts its workers once.  A sweep that
+fails drops the pool, a forked child forgets its parent's, and
+``concurrent.futures`` stops the workers at exit.  The pool's modules
+(``concurrent.futures``, ``multiprocessing``) load on the first sweep run
+with ``jobs > 1`` over more than one block, and the fixture boards only
+in :func:`check_table_witnesses`, so importing the package or running a
+serial sweep starts neither.
 
 The reduction, uniform-value and table checks work on raw bitmasks.  The
 reduction builds one gadget board and one search per graph
@@ -52,7 +57,9 @@ scores only to word a violation.
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -129,10 +136,17 @@ def _sweep(name: str, check: Callable, blocks: Sequence, jobs: int, params: dict
     has no more workers than there are blocks, and a single block is
     checked in this process.  The pool takes the blocks in chunks of
     ``len(blocks) // (8 * workers)``, at least one, so about eight tasks
-    per worker wait here however many blocks there are.  A search past
-    its node budget is reported as the sweep's, ``<name> sweep exceeded
-    node budget of <budget>``, whatever the job count.  A pool that loses a worker process raises
-    :class:`~pirates_treasure.errors.WorkerLostError`,
+    per worker wait here however many blocks there are.  The pool is the
+    process's one live pool (:func:`_pool_for`): a later sweep with the
+    same worker count runs on the same workers.  Those workers run the
+    modules as they were when the pool forked, so code patched after that
+    reaches them only once the pool is dropped (:func:`_drop_pool`).  A
+    sweep that raises drops the pool, its queued chunks cancelled, and the
+    next pooled sweep starts a new one, as does a forked child's first
+    (:func:`_forget_pool`).  A search past its node budget is
+    reported as the sweep's, ``<name> sweep exceeded node budget of
+    <budget>``, whatever the job count.  A pool that loses a worker
+    process raises :class:`~pirates_treasure.errors.WorkerLostError`,
     ``<name> sweep lost a worker process``.
     """
     _require_at_least("jobs", jobs, 1)
@@ -142,19 +156,64 @@ def _sweep(name: str, check: Callable, blocks: Sequence, jobs: int, params: dict
         if workers <= 1:
             results = [_block(item) for item in items]
         else:
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+            from concurrent.futures import BrokenExecutor
 
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool_lock:
+                try:
                     chunk = max(1, len(items) // (8 * workers))
-                    results = list(pool.map(_block, items, chunksize=chunk))
-            except BrokenExecutor:
-                raise WorkerLostError(f"{name} sweep lost a worker process") from None
+                    results = list(_pool_for(workers).map(_block, items, chunksize=chunk))
+                except BaseException as exc:
+                    _drop_pool()
+                    if isinstance(exc, BrokenExecutor):
+                        raise WorkerLostError(f"{name} sweep lost a worker process") from None
+                    raise
     except BudgetExceededError as exc:
         raise BudgetExceededError(exc.budget, f"{name} sweep") from None
     checked = sum(count for count, _ in results)
     violations = [v for _, found in results for v in found]
     return SweepReport(name, checked, violations, params)
+
+
+#: The process's one live pool as ``(workers, executor)``, or ``None``;
+#: read and replaced only under ``_pool_lock``, which a pooled sweep holds
+#: from start to end, so no sweep can shut down another one's pool.
+_pool = None
+_pool_lock = threading.RLock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool lost its manager thread in the
+    fork, so a sweep queued on it would wait forever, and the lock may be
+    held by a thread that is gone.  Drop both without shutting the pool
+    down, which would act on the parent's workers; the child's first
+    pooled sweep starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_for(workers: int):
+    """The live pool if it has ``workers`` workers, else a new one that
+    replaces it: the old pool is shut down first, so at most one is alive."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _drop_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the live pool down, if there is one: its queued chunks are
+    cancelled, and this waits for the running ones and the workers' exit."""
+    global _pool
+    with _pool_lock:
+        live, _pool = _pool, None
+        if live is not None:
+            live[1].shutdown(cancel_futures=True)
 
 
 def _block(item) -> tuple[int, list[Violation]]:

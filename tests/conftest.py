@@ -14,6 +14,19 @@ def fixtures_dir() -> Path:
     return FIXTURES_DIR
 
 
+@pytest.fixture(autouse=True)
+def fresh_sweep_pool():
+    """Drop the sweeps' shared process pool when each test ends.  Its
+    workers run the modules as they were when it forked, so a test that
+    patches sweep internals and then sweeps at ``jobs > 1`` needs a pool
+    forked after the patch, and a test that fakes the pool class must not
+    be handed a real pool an earlier test left alive."""
+    yield
+    from pirates_treasure.theory import sweeps
+
+    sweeps._drop_pool()
+
+
 @pytest.fixture
 def sweeps_must_not_start(monkeypatch):
     """Make any graph enumeration, graph draw or sweep runner call fail at

@@ -145,6 +145,35 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "violations=1" in out
 
 
+def test_verify_all_runs_every_claim_on_one_pool(capsys, monkeypatch):
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    code, out, err = run(capsys, "verify", "all", "--jobs", "2")
+    assert (code, err) == (0, "")
+    assert started == [2]
+    each = [run(capsys, "verify", claim) for claim in
+            ("reduction", "pt-x", "pt-negx", "table", "self-sum")]
+    assert out == "".join(claim_out for _, claim_out, _ in each)
+
+
+def test_verify_all_runs_every_claim_past_a_failing_one(capsys, monkeypatch):
+    def broken(**kwargs):
+        return SweepReport("pt-x", 1, [Violation("vertices 1\nv 0 value 1", "a", "b")])
+
+    monkeypatch.setattr(cli, "check_no_p_positions", broken)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    assert "sweep pt-x: checked=1 violations=1" in out
+    assert out.rstrip().endswith("seed=104 x=1")  # self-sum, the last claim
+
+
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
 def test_verify_rejects_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
     def sweep(**kwargs):
@@ -192,6 +221,14 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
         ),
         (["pt-x", "--seed", "-5"], "seed must be at least 0, got -5"),
         (["table", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (
+            ["all", "--max-n", "3"],
+            "verify all takes no --max-n, --seeds or --seed: each claim runs at its defaults",
+        ),
+        (
+            ["all", "--seed", "3"],
+            "verify all takes no --max-n, --seeds or --seed: each claim runs at its defaults",
+        ),
     ],
 )
 def test_verify_rejects_sweeps_that_would_crash_or_check_nothing(
@@ -333,11 +370,45 @@ def test_a_lost_pool_worker_exits_three_naming_the_sweep(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             raise concurrent.futures.process.BrokenProcessPool("a worker died")
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
     argv = ["verify", "pt-x", "--max-n", "5", "--seeds", "0", "--jobs", "2"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", "error: pt-x sweep lost a worker process\n")
+
+
+def _worker_exits(item):
+    """Stands in for the sweeps' block worker: the worker process dies."""
+    os._exit(1)
+
+
+@pytest.mark.parametrize(
+    "extra, lose_worker, error",
+    [
+        (["--max-nodes", "1"], False, "error: pt-x sweep exceeded node budget of 1\n"),
+        ([], True, "error: pt-x sweep lost a worker process\n"),
+    ],
+    ids=["budget", "lost-worker"],
+)
+def test_a_pooled_sweep_after_a_failed_one_gets_a_working_pool(
+    capsys, monkeypatch, extra, lose_worker, error
+):
+    # a failed sweep drops the process's shared pool, so the next pooled
+    # sweep in the same process starts a new one and reads as the serial run
+    from pirates_treasure.theory import check_no_p_positions, sweeps
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "pt-x", "--max-n", "5", "--seeds", "0", "--jobs", "2", *extra]
+    with monkeypatch.context() as patched:
+        if lose_worker:
+            patched.setattr(sweeps, "_block", _worker_exits)
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", error)
+    kwargs = dict(max_exhaustive_n=3, random_trials=300, seed=9)
+    assert check_no_p_positions(jobs=2, **kwargs) == check_no_p_positions(jobs=1, **kwargs)
 
 
 def test_table_witnesses_budget_error_names_its_sweep(capsys):

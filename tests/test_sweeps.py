@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -242,6 +246,9 @@ def test_the_pool_has_no_more_workers_than_blocks(monkeypatch, sweep, kwargs, bl
             tasks.append(-(-len(items) // chunksize))
             return map(fn, items)
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # stands in even if the sweeps module ever binds the name at import
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool, raising=False)
@@ -249,6 +256,8 @@ def test_the_pool_has_no_more_workers_than_blocks(monkeypatch, sweep, kwargs, bl
         monkeypatch.setattr(sweeps, "_BLOCK", 1)
     serial = sweep(jobs=1, **kwargs)
     for jobs in (2, 64, 10_000):
+        # a fresh pool each time, so each job count's worker count is asked
+        sweeps._drop_pool()
         assert sweep(jobs=jobs, **kwargs) == serial
     # one block is checked in this process and never builds a pool
     assert asked == ([] if blocks == 1 else [min(2, blocks), min(64, blocks), blocks])
@@ -288,6 +297,112 @@ def test_a_cold_import_loads_neither_the_pool_nor_the_fixtures():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "ok 300\n"
+
+
+def test_pooled_sweeps_run_on_one_pool_of_workers():
+    # each sweep spans more than one block, so jobs=2 crosses a real pool
+    runs = [
+        (check_no_p_positions, dict(max_exhaustive_n=3, random_trials=300, seed=9)),
+        (check_outcome_table, dict(trials=600, max_component_n=4, seed=12)),
+    ]
+    pids = []
+    for sweep, kwargs in runs:
+        assert sweep(jobs=2, **kwargs) == sweep(jobs=1, **kwargs)
+        pids.append(sorted(p.pid for p in multiprocessing.active_children()))
+    assert len(pids[0]) == 2
+    assert pids[1] == pids[0]
+
+
+def test_sweeps_in_two_threads_do_not_break_each_others_pool():
+    # the threads ask for two worker counts, so a sweep that could reach the
+    # pool while the other thread's sweep runs on it would shut that pool
+    # down under it; five workers in all, more than a 2-core host has
+    kwargs = dict(max_exhaustive_n=3, random_trials=300, seed=9)
+    serial = check_no_p_positions(jobs=1, **kwargs)
+    outcomes = {2: [], 3: []}
+
+    def sweep_four_times(jobs):
+        for _ in range(4):
+            try:
+                outcomes[jobs].append(check_no_p_positions(jobs=jobs, **kwargs) == serial)
+            except Exception as exc:
+                outcomes[jobs].append(exc)
+
+    threads = [threading.Thread(target=sweep_four_times, args=(jobs,)) for jobs in outcomes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert outcomes == {2: [True] * 4, 3: [True] * 4}
+
+def test_a_forked_child_sweeps_on_a_pool_of_its_own():
+    # the inherited pool's manager thread is gone in the child, so a sweep
+    # queued on it would never finish; the child must start its own pool
+    kwargs = dict(max_exhaustive_n=3, random_trials=300, seed=9)
+    serial = check_no_p_positions(jobs=1, **kwargs)
+    assert check_no_p_positions(jobs=2, **kwargs) == serial
+    workers = sorted(p.pid for p in multiprocessing.active_children())
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = check_no_p_positions(jobs=2, **kwargs) == serial
+            # os._exit runs no exit hook, so stop the child's own workers here
+            sweeps._drop_pool()
+            code = 0 if same else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] and os.waitstatus_to_exitcode(done[1]) == 0
+    # the parent's pool is untouched and still serves its sweeps
+    assert check_no_p_positions(jobs=2, **kwargs) == serial
+    assert sorted(p.pid for p in multiprocessing.active_children()) == workers
+
+
+_TWO_POOLS = """\
+import multiprocessing
+from pirates_treasure.theory import check_no_p_positions
+
+kwargs = dict(max_exhaustive_n=3, random_trials=300, seed=9)  # four blocks
+serial = check_no_p_positions(jobs=1, **kwargs)
+seen = set()
+for jobs in (2, 3, 3):
+    assert check_no_p_positions(jobs=jobs, **kwargs) == serial
+    live = {p.pid for p in multiprocessing.active_children()}
+    assert len(live) == jobs, (jobs, live)
+    seen |= live
+print(*sorted(seen))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_a_script_with_pooled_sweeps_exits_cleanly():
+    """A new worker count replaces the pool, the same count reuses it, and
+    at exit the last pool is shut down: no worker is left alive and
+    nothing is written to stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _TWO_POOLS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    pids = [int(pid) for pid in run.stdout.split()]
+    # two workers, then three that serve both sweeps at jobs=3
+    assert len(pids) == 5
+    assert not [pid for pid in pids if _alive(pid)]
 
 
 def _report_and_block_count(monkeypatch, sweep, kwargs):
