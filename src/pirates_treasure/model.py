@@ -382,6 +382,8 @@ def random_instance(
 
     Deterministic: the same arguments always produce the same instance.
     """
+    if vertex_count < 0:
+        raise ValidationError(f"vertex count must be non-negative, got {vertex_count}")
     _check_vertex_cap(vertex_count)
     if vertex_count > MAX_RANDOM_VERTICES:
         raise ValidationError(

@@ -17,7 +17,7 @@ layers.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from ..errors import ValidationError
@@ -117,19 +117,10 @@ def _enumerate_uniform(n: int, value: int) -> Iterator[Instance]:
         raise ValidationError(
             f"exhaustive enumeration supports 2 <= n <= {MAX_ENUMERATION_N}"
         )
-    for adj, left, right in uniform_boards_bits(n, range(_mask_count(n))):
-        yield uniform_instance(graph_from_bits(adj), left, right, value)
-
-
-def uniform_boards_bits(n: int, masks: range) -> Iterator[tuple[list[int], int, int]]:
-    """(adjacency, Left berth, Right berth) of each connected n-vertex graph
-    whose edge mask lies in ``masks``, times every ordered pair of distinct
-    berths: the boards of :func:`enumerate_ptx`, in its order."""
-    for adj in connected_adjacencies(n, masks):
-        for left in range(n):
-            for right in range(n):
-                if left != right:
-                    yield adj, left, right
+    for adj in connected_adjacencies(n, range(_mask_count(n))):
+        graph = graph_from_bits(adj)
+        for left, right in permutations(range(n), 2):
+            yield uniform_instance(graph, left, right, value)
 
 
 def _below(getrandbits, n: int) -> int:

@@ -40,7 +40,9 @@ mirror holds two ships a side), and the predicate runs zero-window
 searches that stop at the first root that settles it.  It asks once per
 berth pair: the board with berths (b, a) has the adjacency, piles and
 packed roots of the board with (a, b), the roots in the other order, so
-it takes the verdict that (a, b) got earlier on the same graph.  The
+it takes the verdict that (a, b) got earlier on the same graph, from the
+memo that the exhaustive source :func:`_berth_pairs` makes per graph, as
+:func:`_berths` makes a search; a drawn board gets an empty memo.  The
 table check takes each summand's class from the signs of its two first
 movers' results, windows ``(-1, 1)``, and searches the boards side by
 side for Left first, then for Right first only when that sign leaves the
@@ -62,6 +64,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from ..algebra import negate_instance
@@ -88,7 +91,6 @@ from .families import (
     graph_from_bits,
     random_pt_instance,
     random_uniform_bits,
-    uniform_boards_bits,
     uniform_instance,
 )
 from .reduction import gadget_board, hampath_from
@@ -341,7 +343,7 @@ def _uniform_sweep(
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
     family's pile value (1 or -1) and the node budget bound."""
     _require_at_least("random_trials", random_trials, 0)
-    drawn = _seeded(_drawn, seed, random_trials, "random_max_n", 2, random_max_n)
+    drawn = _seeded(_drawn_alone, seed, random_trials, "random_max_n", 2, random_max_n)
     if max_exhaustive_n > MAX_ENUMERATION_N:
         raise ValidationError(
             f"{name} sweep supports max_exhaustive_n <= {MAX_ENUMERATION_N}, "
@@ -353,11 +355,10 @@ def _uniform_sweep(
             f"(max_exhaustive_n={max_exhaustive_n}) and no random trials"
         )
     blocks = [
-        (uniform_boards_bits, (n, masks))
+        (_berth_pairs, (n, masks))
         for n in range(2, max_exhaustive_n + 1)
         for masks in _blocks(0, _mask_count(n))
     ] + drawn
-    blocks = [(_twins, (boards, *args)) for boards, args in blocks]
     params = dict(
         max_exhaustive_n=max_exhaustive_n, x=1, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,
@@ -368,23 +369,26 @@ def _uniform_sweep(
     return report
 
 
-def _twins(boards: Callable, *args) -> Iterator[tuple[list[int], int, int, dict]]:
-    """The boards of ``boards(*args)``, each with the verdict memo of its graph.
+def _berth_pairs(n: int, masks: range) -> Iterator[tuple[list[int], int, int, dict]]:
+    """Every connected n-vertex graph whose edge mask lies in ``masks``,
+    once per ordered pair of distinct berths (Left's, Right's), in
+    :func:`~.families.enumerate_ptx` order, with the graph's one verdict memo.
 
-    One memo serves the boards of one graph, which come one after another
-    as one adjacency list; it is keyed by the berth mask.  The board with
-    berths (b, a) has the same adjacency and piles as the one with (a, b),
-    and the same two packed roots in the other order, so a class question
-    on both roots gets the same answer from both: the later twin takes the
-    earlier one's verdict unsearched.  A drawn board has a graph of its own
-    and misses.
+    The memo is keyed by the berth mask.  The board with berths (b, a) has
+    the same adjacency and piles as the one with (a, b), and the same two
+    packed roots in the other order, so a class question on both roots gets
+    the same answer from both: the later twin takes the earlier one's
+    verdict unsearched.
     """
-    verdicts: dict[int, bool] = {}
-    last = None
-    for adj, left, right in boards(*args):
-        if adj is not last:
-            verdicts, last = {}, adj
-        yield adj, left, right, verdicts
+    for adj in connected_adjacencies(n, masks):
+        verdicts: dict[int, bool] = {}
+        for left, right in permutations(range(n), 2):
+            yield adj, left, right, verdicts
+
+
+def _drawn_alone(rng: random.Random, max_n: int) -> tuple[list[int], int, int, dict]:
+    """A :func:`_drawn` board with an empty verdict memo: it has no twin."""
+    return (*_drawn(rng, max_n), {})
 
 
 def _piles(n: int, left: int, right: int, value: int) -> list[int]:

@@ -37,7 +37,5 @@ def sweeps_must_not_start(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep must not start")
 
-    for name in (
-        "connected_adjacencies", "uniform_boards_bits", "random_uniform_bits", "_sweep"
-    ):
+    for name in ("connected_adjacencies", "random_uniform_bits", "_sweep"):
         monkeypatch.setattr(sweeps, name, refuse)

@@ -478,6 +478,14 @@ def test_generate_refuses_what_it_cannot_build_at_once(capsys, monkeypatch, argv
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "ships", [["--left", "0", "--right", "0"], []], ids=["no-ships", "default-ships"]
+)
+def test_generate_refuses_a_negative_vertex_count(capsys, ships):
+    code, out, err = run(capsys, "generate", "random", "--n", "-3", *ships)
+    assert (code, out, err) == (2, "", "error: vertex count must be non-negative, got -3\n")
+
+
 def test_game_deeper_than_the_recursion_limit_exits_three(capsys, tmp_path):
     n = 3000
     lines = [f"vertices {n}", "v 0 ship L", f"v {n - 1} ship R"]

@@ -48,8 +48,15 @@ VERIFY_COMMANDS = [
     ["verify", claim] for claim in ("pt-x", "pt-negx", "self-sum", "table", "reduction")
 ]
 
-#: Boards outside ``fixtures/`` on which mirror states share a table entry.
-KEY_BOARDS = ["tests/data/grid_3x3.pt", "tests/data/random_n7_seed1.pt"]
+#: Boards outside ``fixtures/`` on which mirror states share a table entry,
+#: each with the ``generate`` command that writes it.
+GENERATED = {
+    "tests/data/grid_3x3.pt": [
+        "generate", "grid", "--cols", "3", "--rows", "3", "--left", "1,1", "--right", "3,3"
+    ],
+    "tests/data/random_n7_seed1.pt": ["generate", "random", "--n", "7", "--seed", "1"],
+}
+KEY_BOARDS = list(GENERATED)
 
 #: Fixture stems whose boards are played together as one sum.
 SUMMAND_SETS = [(f"tab_case{case}a", f"tab_case{case}b") for case in sorted(TAB_CASES)] + [
@@ -109,6 +116,14 @@ def test_cli_transcript_matches_golden(monkeypatch):
 def test_verify_transcript_matches_golden(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     assert transcript(VERIFY_COMMANDS) == VERIFY_GOLDEN.read_text()
+
+
+def test_generate_writes_the_key_boards_byte_for_byte(capsys):
+    # the random board leans on Random.sample and randint, which Python does
+    # not pin across releases
+    for path, argv in GENERATED.items():
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == (REPO_ROOT / path).read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import types
 
 import pytest
@@ -218,6 +219,36 @@ def test_random_instance_rejects_bad_args():
         random_instance(2, 0.5, (1, 2), 2, 1, seed=0)
     with pytest.raises(ValidationError):
         random_instance(4, 0.5, (3, 1), 1, 1, seed=0)
+
+
+def test_random_instance_refuses_a_negative_vertex_count_first():
+    # with no ships on the board, "more ships than vertices" names the wrong fault
+    for left, right in ((0, 0), (1, 1)):
+        with pytest.raises(ValidationError) as exc:
+            random_instance(-3, 0.5, (1, 2), left, right, seed=0)
+        assert str(exc.value) == "vertex count must be non-negative, got -3"
+    assert random_instance(0, 0.5, (1, 2), 0, 0, seed=0).graph.vertex_count == 0
+
+
+#: The boards of :func:`test_random_instance_draws_the_recorded_boards`.
+RANDOM_DIGEST = "ecfa780f7db720ae055f19197e0b01a40f4e1448a9199b729554ab042d0e7cd5"
+
+
+def test_random_instance_draws_the_recorded_boards():
+    # random_instance reads Random.sample and randint, whose algorithms
+    # Python does not pin across releases.  Two berths are sampled from a
+    # pool up to 21 vertices and from a set above; six ships from a pool up
+    # to 85 vertices, eight from a set above.
+    texts = [
+        serialize_instance(random_instance(n, p, weights, left, right, seed))
+        for n, left, right in (
+            (2, 1, 1), (7, 2, 1), (21, 1, 1), (22, 1, 1), (40, 3, 3), (90, 4, 4)
+        )
+        for p in (0.0, 0.3, 1.0)
+        for weights in ((1, 4), (-3, 3))
+        for seed in range(3)
+    ]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == RANDOM_DIGEST
 
 
 def test_random_instance_refuses_a_board_past_its_cap_before_drawing(monkeypatch):

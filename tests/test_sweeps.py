@@ -50,7 +50,6 @@ from pirates_treasure.theory import (
 from pirates_treasure.theory.families import (
     connected_adjacencies,
     random_uniform_bits,
-    uniform_boards_bits,
 )
 from pirates_treasure.theory.reduction import gadget_board
 
@@ -631,7 +630,7 @@ def test_a_board_beside_its_mirror_is_worth_the_same_to_either_first_mover():
     boards = [
         (adj, left, right, sweeps._piles(n, left, right, x))
         for n in range(2, 5)
-        for adj, left, right in uniform_boards_bits(n, range(sweeps._mask_count(n)))
+        for adj, left, right, _ in sweeps._berth_pairs(n, range(sweeps._mask_count(n)))
         for x in (1, 2)
     ]
     for seed in range(400):
