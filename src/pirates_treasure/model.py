@@ -398,6 +398,8 @@ def random_instance(
     lo, hi = weight_range
     if lo > hi:
         raise ValidationError(f"empty weight range {weight_range}")
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
     edges = []
     for u in range(vertex_count):

@@ -4,7 +4,8 @@ The uniform-value families (every pile worth the same x > 0, or the same
 -x < 0) are where the structural claims about outcome classes live, so
 they get first-class generators here.  The distinguishing context, the
 board summed with each random board of the distinguishing sweep, is
-built here too.
+built here too, as the reference for the sweep's bitmask copy.
+:func:`instance_from_bits` builds the Instance of a drawn bitmask board.
 
 Each seeded draw reads its generator through ``getrandbits()`` and
 ``random()`` only, never ``randint``, ``randrange`` or ``sample``: a
@@ -181,12 +182,13 @@ def random_ptx_instance(n: int, x: int, rng: random.Random) -> Instance:
     return uniform_instance(graph_from_bits(adj), left, right, x)
 
 
-def random_pt_instance(n: int, rng: random.Random) -> Instance:
-    """Random connected board with piles worth 1 to 4, one ship per side.
+def random_pt_bits(n: int, rng: random.Random) -> tuple[list[int], list[int], int, int]:
+    """(adjacency, piles, Left fleet mask, Right fleet mask) of a random
+    connected board with piles worth 1 to 4, one ship per side.
 
     The draw is repeated until the Left ship has at least one unplundered
     neighbor, i.e. Left can actually move first.  Each try draws its piles
-    before that test, keeping the generator in step; only the last is built.
+    before that test, keeping the generator in step; a berth's pile is 0.
     """
     if n < 2:
         raise ValidationError("need room for two ships")
@@ -196,9 +198,24 @@ def random_pt_instance(n: int, rng: random.Random) -> Instance:
     bits = rng.getrandbits
     while True:
         adj, left, right = random_uniform_bits(n, rng)
-        weights = {v: 1 + _below(bits, 4) for v in range(n) if v != left and v != right}
+        wt = [0 if v == left or v == right else 1 + _below(bits, 4) for v in range(n)]
         if adj[left] & ~(1 << right):
-            return Instance(graph_from_bits(adj), weights, (left,), (right,))
+            return adj, wt, 1 << left, 1 << right
+
+
+def random_pt_instance(n: int, rng: random.Random) -> Instance:
+    """Random connected board with piles worth 1 to 4, one ship per side,
+    drawn as :func:`random_pt_bits` draws it."""
+    return instance_from_bits(*random_pt_bits(n, rng))
+
+
+def instance_from_bits(adj: Sequence[int], wt: Sequence[int], lefts: int, rights: int) -> Instance:
+    """The board with these per-vertex neighbor bitmasks and piles, and
+    these fleet masks: every vertex outside the fleets holds its pile."""
+    ships = lefts | rights
+    weights = {v: w for v, w in enumerate(wt) if not ships >> v & 1}
+    fleets = [tuple(v for v in range(len(adj)) if mask >> v & 1) for mask in (lefts, rights)]
+    return Instance(graph_from_bits(adj), weights, *fleets)
 
 
 def distinguishing_context(g_inst: Instance) -> Instance:

@@ -27,11 +27,10 @@ with ``jobs > 1`` over more than one block, and the fixture boards only
 in :func:`check_table_witnesses`, so importing the package or running a
 serial sweep starts neither.
 
-The reduction, uniform-value and table checks work on raw bitmasks.  The
-reduction builds one gadget board and one search per graph
-(:func:`~.reduction.gadget_board`) and sets each berth's packed root on
-it, one zero-window search each, against the path oracle; the berths of
-a graph share the search's table.  The three uniform checks (no P
+Every check works on raw bitmasks.  The reduction builds one gadget
+board and one search per graph (:func:`~.reduction.gadget_board`) and
+sets each berth's packed root on it, one zero-window search each,
+against the path oracle; the berths of a graph share the search's table.  The three uniform checks (no P
 positions when every pile is worth 1, no N positions at -1, a board plus
 its mirror ties) are one routine, :func:`_uniform_check`, bound with a
 board builder and a class predicate.  It packs the two roots, each three
@@ -51,10 +50,11 @@ every pile by x scales every final score by x and keeps every sign, so
 the sweeps check x = 1.  A violating board's class comes from
 :func:`_sign_class` on the bitmask board searched (a self-sum beside its
 mirror, a table pair side by side), and only then is it built as an
-:class:`~pirates_treasure.model.Instance`, to be written out.  The
-distinguishing check reads only the signs of Left-first scores, each
-from one search in a window around its banked score, and computes exact
-scores only to word a violation.
+:class:`~pirates_treasure.model.Instance`, to be written out, by
+:func:`~.families.instance_from_bits`.  The distinguishing check asks
+one search over a board beside its context two roots, Left to move, each
+in the window ``(-1, 1)``: the context's ships alone, then both fleets.
+No score is banked, and exact scores only word a violation.
 """
 
 from __future__ import annotations
@@ -68,16 +68,14 @@ from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 from ..algebra import negate_instance
-from ..engine import Player, initial_position
 from ..errors import BudgetExceededError, ValidationError, WorkerLostError
-from ..model import Instance, serialize_graph, serialize_instance
+from ..model import serialize_graph, serialize_instance
 from ..solver import (
     DEFAULT_NODE_BUDGET,
     FinalScores,
     OutcomeClass,
     Search,
     _beside,
-    _union_state,
     classify,
     final_scores,
 )
@@ -87,11 +85,10 @@ from .families import (
     _below,
     _mask_count,
     connected_adjacencies,
-    distinguishing_context,
     graph_from_bits,
-    random_pt_instance,
+    instance_from_bits,
+    random_pt_bits,
     random_uniform_bits,
-    uniform_instance,
 )
 from .reduction import gadget_board, hampath_from
 
@@ -420,11 +417,6 @@ def _sign_class(board, budget: int) -> OutcomeClass:
     )
 
 
-def _instance(adj, left, right, value) -> Instance:
-    """The uniform board that a violation's report line shows."""
-    return uniform_instance(graph_from_bits(adj), left, right, value)
-
-
 # Class predicates on the two packed roots (Left first, Right first), each
 # valued in its mover's frame with nothing banked; the second root is
 # searched only when the first passes.
@@ -474,7 +466,7 @@ def _uniform_check(
     if not hit:
         return None
     got = _sign_class(board_of(adj, left, right, value), budget)
-    text = serialize_instance(_instance(adj, left, right, value))
+    text = serialize_instance(instance_from_bits(*_uniform(adj, left, right, value)))
     return Violation(text, expected, f"class = {got}")
 
 
@@ -588,7 +580,7 @@ def _table_check(budget: int, a, b) -> Violation | None:
     board = _beside(board_a, board_b)
     if cell is not None and _class_in(cell, board, budget):
         return None
-    text = serialize_instance(_instance(*a, 1)) + "+\n" + serialize_instance(_instance(*b, 1))
+    text = "+\n".join(serialize_instance(instance_from_bits(*b)) for b in (board_a, board_b))
     if cell is None:
         return Violation(text, "summands on the table", f"{class_a} + {class_b}")
     got = _sign_class(board, budget)
@@ -655,31 +647,34 @@ def check_table_witnesses(budget: int = DEFAULT_NODE_BUDGET) -> SweepReport:
 # Distinguishing contexts
 
 
-def _left_first_sign(boards: Sequence[Instance], budget: int) -> int:
-    """Sign of the boards' final score side by side with Left first: one
-    search in the window ``(-1, 1)`` around the banked score."""
-    roots = [initial_position(b, Player.LEFT) for b in boards]
-    banked = sum(p.score for p in roots)
-    root = _union_state(roots, Player.LEFT)
-    score = banked + Search.of(boards, budget).value(*root, -1 - banked, 1 - banked)
-    return (score > 0) - (score < 0)
-
-
-def _drawn_pt(rng: random.Random, max_n: int) -> tuple[Instance]:
+def _drawn_pt(rng: random.Random, max_n: int) -> tuple[list[int], list[int], int, int]:
     """A board as ``random_pt_instance(rng.randint(3, max_n), rng)`` draws
-    it, read as in :func:`_drawn`."""
-    return (random_pt_instance(3 + _below(rng.getrandbits, max_n - 2), rng),)
+    it, on bitmasks, read as in :func:`_drawn`."""
+    return random_pt_bits(3 + _below(rng.getrandbits, max_n - 2), rng)
 
 
-def _distinguishing_check(budget: int, inst: Instance) -> Violation | None:
-    """A board's Left-first sign alone and beside its context.  Only a
-    violating board is worded, with both exact scores."""
-    context = distinguishing_context(inst)
-    if _left_first_sign([context], budget) != _left_first_sign([inst, context], budget):
+def _context(wt: Sequence[int]) -> tuple[list[int], list[int], int, int]:
+    """:func:`~.families.distinguishing_context` of a board with piles
+    ``wt`` on bitmasks: an edge from Right's ship to a bait pile worth one
+    more than the board's positive piles."""
+    return [2, 1], [0, 1 + sum(w for w in wt if w > 0)], 0, 1
+
+
+def _distinguishing_check(budget: int, *board) -> Violation | None:
+    """A board's Left-first sign beside its context against the context's
+    alone, two roots of one search.  Only a violating board is worded,
+    with both exact scores from that search."""
+    context = _context(board[1])
+    adj, wt, lefts, rights = _beside(board, context)
+    search = Search(adj, wt, budget)
+    # the board comes first, so its fleet masks are not shifted
+    fleets = (lefts ^ board[2], rights ^ board[3]), (lefts, rights)
+    alone, summed = (search.value(ls, rs, ls | rs, -1, 1) for ls, rs in fleets)
+    if (alone > 0) - (alone < 0) != (summed > 0) - (summed < 0):
         return None
-    alone = final_scores(context, budget=budget).left_first
-    summed = final_scores(inst, context, budget=budget).left_first
-    text = serialize_instance(inst) + "+\n" + serialize_instance(context)
+    m = search.inf - 1
+    alone, summed = (search.value(ls, rs, ls | rs, -m, m) for ls, rs in fleets)
+    text = "+\n".join(serialize_instance(instance_from_bits(*b)) for b in (board, context))
     expected = "Left-first result changes sign next to the context"
     return Violation(text, expected, f"alone = {alone}, summed = {summed}")
 
@@ -692,7 +687,8 @@ def check_distinguishing(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """The overweight-edge context always separates a board with a mobile
-    Left ship from the empty game, Left moving first."""
+    Left ship from the empty game, Left moving first.  ``budget`` bounds
+    each board's one search, over both roots and any exact scores."""
     _require_at_least("trials", trials, 1)
     blocks = _seeded(_drawn_pt, seed, trials, "max_n", 3, max_n)
     params = {"trials": trials, "max_n": max_n, "seed": seed}

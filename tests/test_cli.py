@@ -463,9 +463,11 @@ def _refuse(*args, **kwargs):
             ["random", "--n", "100000"],
             "100000 vertices, more than the 1000 a random board may have",
         ),
+        (["random", "--n", "7", "--seed", "-1"], "seed must be at least 0, got -1"),
     ],
     ids=[
-        "p-above-1", "p-below-0", "random-above-cap", "grid-above-cap", "random-above-draw-cap"
+        "p-above-1", "p-below-0", "random-above-cap", "grid-above-cap", "random-above-draw-cap",
+        "negative-seed",
     ],
 )
 def test_generate_refuses_what_it_cannot_build_at_once(capsys, monkeypatch, argv, err):

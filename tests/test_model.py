@@ -219,6 +219,9 @@ def test_random_instance_rejects_bad_args():
         random_instance(2, 0.5, (1, 2), 2, 1, seed=0)
     with pytest.raises(ValidationError):
         random_instance(4, 0.5, (3, 1), 1, 1, seed=0)
+    # Random(-1) draws what Random(1) draws
+    with pytest.raises(ValidationError, match=r"^seed must be at least 0, got -1$"):
+        random_instance(7, 0.5, (1, 5), 1, 1, seed=-1)
 
 
 def test_random_instance_refuses_a_negative_vertex_count_first():

@@ -41,6 +41,7 @@ from pirates_treasure.theory import (
     check_reduction_sweep,
     check_self_sum_tie,
     check_table_witnesses,
+    distinguishing_context,
     enumerate_pt_negx,
     enumerate_ptx,
     outcome_table_cell,
@@ -168,28 +169,35 @@ def test_table_and_distinguishing_sweeps_list_each_failing_item_once_in_order(mo
     assert [v.instance_text for v in report.violations] == expected
     assert {v.expected for v in report.violations} == {"summands on the table"}
 
-    real_context = sweeps.distinguishing_context
+    real_context = sweeps._context
     context_calls = iter(range(trials))
 
-    def left_bait(inst):
+    def left_bait(wt):
         # a Left ship next to the bait: Left first ends positive alone and
         # beside any board of positive piles, so the sign never changes
-        ctx = real_context(inst)
+        adj, piles, lefts, rights = real_context(wt)
         if next(context_calls) not in chosen:
-            return ctx
-        return Instance(ctx.graph, ctx.weights, left_starts=ctx.right_starts, right_starts=())
+            return adj, piles, lefts, rights
+        return adj, piles, rights, lefts
 
-    monkeypatch.setattr(sweeps, "distinguishing_context", left_bait)
+    monkeypatch.setattr(sweeps, "_context", left_bait)
     report = check_distinguishing(trials=trials, max_n=6, seed=5, jobs=1)
     expected = []
     for i in sorted(chosen):
         rng = random.Random(5 + i)
         inst = random_pt_instance(rng.randint(3, 6), rng)
-        ctx = real_context(inst)
+        ctx = distinguishing_context(inst)
         ctx = Instance(ctx.graph, ctx.weights, left_starts=ctx.right_starts, right_starts=())
-        expected.append(serialize_instance(inst) + "+\n" + serialize_instance(ctx))
+        alone, summed = final_scores(ctx).left_first, final_scores(inst, ctx).left_first
+        expected.append(
+            Violation(
+                serialize_instance(inst) + "+\n" + serialize_instance(ctx),
+                "Left-first result changes sign next to the context",
+                f"alone = {alone}, summed = {summed}",
+            )
+        )
     assert report.checked == trials
-    assert [v.instance_text for v in report.violations] == expected
+    assert report.violations == expected
 
 
 def test_jobs_do_not_change_results():
@@ -312,13 +320,30 @@ def test_pooled_sweeps_run_on_one_pool_of_workers():
     assert pids[1] == pids[0]
 
 
-def test_sweeps_in_two_threads_do_not_break_each_others_pool():
+def test_sweeps_in_two_threads_do_not_break_each_others_pool(monkeypatch):
     # the threads ask for two worker counts, so a sweep that could reach the
     # pool while the other thread's sweep runs on it would shut that pool
-    # down under it; five workers in all, more than a 2-core host has
+    # down under it.  The overlap is forced: the jobs=3 thread starts once
+    # the jobs=2 thread holds its first pool, and that thread then waits up
+    # to 0.5 s for the other to get a pool too.  With the pool lock the
+    # other waits for the lock, so the wait times out; without it the
+    # jobs=2 pool is shut down during the wait, in every run
     kwargs = dict(max_exhaustive_n=3, random_trials=300, seed=9)
     serial = check_no_p_positions(jobs=1, **kwargs)
     outcomes = {2: [], 3: []}
+    holds, reached = threading.Event(), threading.Event()
+    real_pool_for = sweeps._pool_for
+
+    def pool_for(workers):
+        pool = real_pool_for(workers)
+        if workers == 3:
+            reached.set()
+        elif not holds.is_set():
+            holds.set()
+            reached.wait(0.5)
+        return pool
+
+    monkeypatch.setattr(sweeps, "_pool_for", pool_for)
 
     def sweep_four_times(jobs):
         for _ in range(4):
@@ -327,13 +352,15 @@ def test_sweeps_in_two_threads_do_not_break_each_others_pool():
             except Exception as exc:
                 outcomes[jobs].append(exc)
 
-    threads = [threading.Thread(target=sweep_four_times, args=(jobs,)) for jobs in outcomes]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
+    threads = {jobs: threading.Thread(target=sweep_four_times, args=(jobs,)) for jobs in outcomes}
+    threads[2].start()
+    assert holds.wait(60)
+    threads[3].start()
+    for thread in threads.values():
         thread.join(timeout=120)
-    assert not [thread for thread in threads if thread.is_alive()]
+    assert not [thread for thread in threads.values() if thread.is_alive()]
     assert outcomes == {2: [True] * 4, 3: [True] * 4}
+
 
 def test_a_forked_child_sweeps_on_a_pool_of_its_own():
     # the inherited pool's manager thread is gone in the child, so a sweep

@@ -33,6 +33,7 @@ from pirates_treasure.theory import (
 from pirates_treasure.theory.families import (
     MAX_DRAW_N,
     graph_from_bits,
+    instance_from_bits,
     random_connected_adjacency,
 )
 from pirates_treasure.theory.reduction import gadget_board, hampath_from
@@ -174,7 +175,14 @@ def test_drawn_pt_boards_match_the_randint_and_sample_draw():
     for seed in seeds:
         rng = random.Random(seed)
         expected.append(_set_based_pt(rng.randint(3, 7), rng))
-    assert [_pt_board(inst) for (inst,) in sweeps._draws(sweeps._drawn_pt, seeds, 7)] == expected
+    drawn = sweeps._draws(sweeps._drawn_pt, seeds, 7)
+    assert [_pt_board(instance_from_bits(*board)) for board in drawn] == expected
+
+
+def test_the_bitmask_context_is_the_distinguishing_context():
+    for board in sweeps._draws(sweeps._drawn_pt, range(1000), 7):
+        inst = instance_from_bits(*board)
+        assert instance_from_bits(*sweeps._context(board[1])) == distinguishing_context(inst)
 
 
 @pytest.mark.parametrize("lo, hi, seeds", [(3, 9, 2000), (22, MAX_DRAW_N, 200)])
@@ -212,7 +220,7 @@ DRAWN_PT_DIGEST = "03a585972f07dbd7f4d00977dca0f3a09485f679909ce8e1f1c8509675dee
 
 def test_seeded_distinguishing_boards_are_pinned():
     boards = sweeps._draws(sweeps._drawn_pt, range(1000), 7)
-    texts = [serialize_instance(inst) for (inst,) in boards]
+    texts = [serialize_instance(instance_from_bits(*board)) for board in boards]
     assert hashlib.sha256(repr(texts).encode()).hexdigest() == DRAWN_PT_DIGEST
 
 
