@@ -4,9 +4,10 @@ Each sweep checks one structural claim on every board of a family and
 returns a :class:`SweepReport` with every counterexample found.  All
 sweeps share one pipeline.  An item is a block ``(boards, args)``: a
 module-level board source and its arguments, such as a range of edge
-masks of one size, or a range of seeds that the one loop :func:`_draws`
-hands one by one to a sweep's per-seed draw (:func:`_seeded` checks the
-seed and the draw size for all five seeded sweeps).  One worker,
+masks of one size (:func:`_exhaustive` makes them), or a range of seeds
+that the one loop :func:`_draws` hands one by one to a sweep's per-seed
+draw (:func:`_seeded` makes them, and checks the seed and the draw size,
+for all five seeded sweeps).  One worker,
 :func:`_block`, expands the block with ``boards(*args)`` and calls the
 sweep's per-board check ``check(*board)``, a :func:`functools.partial`
 over the check's fixed arguments (they come first), which returns a
@@ -20,12 +21,12 @@ are deterministic for fixed parameters.
 A process keeps at most one pool alive, and every pooled sweep of that
 worker count runs on it (:func:`_pool_for`), so a run of several sweeps,
 such as ``pirates verify all``, starts its workers once.  A sweep that
-fails drops the pool, a forked child forgets its parent's, and
-``concurrent.futures`` stops the workers at exit.  The pool's modules
-(``concurrent.futures``, ``multiprocessing``) load on the first sweep run
-with ``jobs > 1`` over more than one block, and the fixture boards only
-in :func:`check_table_witnesses`, so importing the package or running a
-serial sweep starts neither.
+fails drops the pool, a forked child forgets its parent's, and an
+:mod:`atexit` hook drops it before the interpreter tears modules down.
+The pool's modules (``concurrent.futures``, ``multiprocessing``) load
+on the first sweep run with ``jobs > 1`` over more than one block, and
+the fixture boards only in :func:`check_table_witnesses`, so importing
+the package or running a serial sweep starts neither.
 
 Every check works on raw bitmasks.  The reduction builds one gadget
 board and one search per graph (:func:`~.reduction.gadget_board`) and
@@ -59,6 +60,7 @@ No score is banked, and exact scores only word a violation.
 
 from __future__ import annotations
 
+import atexit
 import os
 import random
 import threading
@@ -215,6 +217,9 @@ def _drop_pool() -> None:
             live[1].shutdown(cancel_futures=True)
 
 
+atexit.register(_drop_pool)
+
+
 def _block(item) -> tuple[int, list[Violation]]:
     """Expand one block with ``boards(*args)`` and check each board: the
     number of boards and their violations, in board order."""
@@ -250,6 +255,13 @@ def _blocks(start: int, stop: int) -> Iterator[range]:
     """[start, stop) in consecutive ranges of ``_BLOCK``, the last one shorter."""
     for first in range(start, stop, _BLOCK):
         yield range(first, min(first + _BLOCK, stop))
+
+
+def _exhaustive(source: Callable, sizes: range, *args) -> list[tuple]:
+    """The exhaustive sweeps' blocks: for each size ``n`` in ``sizes``,
+    every edge mask of ``n`` vertices in ranges of ``_BLOCK``, each block
+    enumerated by ``source(n, masks, *args)``."""
+    return [(source, (n, masks, *args)) for n in sizes for masks in _blocks(0, _mask_count(n))]
 
 
 def _seeded(
@@ -311,15 +323,8 @@ def check_reduction_sweep(
     one gadget board and one search, and every berth is a root on it, so
     ``budget`` bounds the nodes of one graph over all its berths.
     """
-    if not 1 <= max_n <= MAX_ENUMERATION_N:
-        raise ValidationError(
-            f"reduction sweep supports 1 <= max_n <= {MAX_ENUMERATION_N}, got {max_n}"
-        )
-    blocks = [
-        (_berths, (n, masks, budget))
-        for n in range(1, max_n + 1)
-        for masks in _blocks(0, _mask_count(n))
-    ]
+    _require_between("max_n", max_n, 1, MAX_ENUMERATION_N)
+    blocks = _exhaustive(_berths, range(1, max_n + 1), budget)
     return _sweep("reduction", _gadget_check, blocks, jobs, {"max_n": max_n})
 
 
@@ -338,24 +343,17 @@ def _uniform_sweep(
 ) -> SweepReport:
     """Every uniform board up to ``max_exhaustive_n`` vertices, then
     ``random_trials`` seeded draws, through one runner.  ``check`` has the
-    family's pile value (1 or -1) and the node budget bound."""
+    family's pile value (1 or -1) and the node budget bound.
+    ``max_exhaustive_n`` lies in 0..7; below 2 it adds no board."""
     _require_at_least("random_trials", random_trials, 0)
     drawn = _seeded(_drawn_alone, seed, random_trials, "random_max_n", 2, random_max_n)
-    if max_exhaustive_n > MAX_ENUMERATION_N:
-        raise ValidationError(
-            f"{name} sweep supports max_exhaustive_n <= {MAX_ENUMERATION_N}, "
-            f"got {max_exhaustive_n}"
-        )
+    _require_between("max_exhaustive_n", max_exhaustive_n, 0, MAX_ENUMERATION_N)
     if max_exhaustive_n < 2 and not random_trials:
         raise ValidationError(
             f"{name} sweep has nothing to check: no exhaustive size of 2 or more "
             f"(max_exhaustive_n={max_exhaustive_n}) and no random trials"
         )
-    blocks = [
-        (_berth_pairs, (n, masks))
-        for n in range(2, max_exhaustive_n + 1)
-        for masks in _blocks(0, _mask_count(n))
-    ] + drawn
+    blocks = _exhaustive(_berth_pairs, range(2, max_exhaustive_n + 1)) + drawn
     params = dict(
         max_exhaustive_n=max_exhaustive_n, x=1, random_trials=random_trials,
         random_max_n=random_max_n, seed=seed,

@@ -190,7 +190,8 @@ def test_verify_rejects_jobs_outside_the_cpu_count(capsys, monkeypatch, jobs):
 def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
     code, out, err = run(capsys, "verify", "reduction", "--max-n", max_n)
     assert (code, out) == (2, "")
-    assert err == f"error: reduction sweep supports 1 <= max_n <= 7, got {max_n}\n"
+    bound = "most 7" if max_n == "8" else "least 1"
+    assert err == f"error: max_n must be at {bound}, got {max_n}\n"
 
 
 @pytest.mark.parametrize(
@@ -205,8 +206,12 @@ def test_verify_rejects_reduction_sizes_outside_one_to_seven(capsys, max_n):
             "self-sum sweep has nothing to check: no exhaustive size of 2 or more "
             "(max_exhaustive_n=1) and no random trials",
         ),
-        (["pt-x", "--max-n", "8"], "pt-x sweep supports max_exhaustive_n <= 7, got 8"),
-        (["pt-negx", "--max-n", "8"], "pt-negx sweep supports max_exhaustive_n <= 7, got 8"),
+        (["pt-x", "--max-n", "8"], "max_exhaustive_n must be at most 7, got 8"),
+        (["pt-negx", "--max-n", "8"], "max_exhaustive_n must be at most 7, got 8"),
+        (
+            ["pt-x", "--max-n", "-1", "--seeds", "5"],
+            "max_exhaustive_n must be at least 0, got -1",
+        ),
         (
             ["reduction", "--seeds", "5"],
             "verify reduction takes no --seeds or --seed: it draws no random boards",

@@ -415,20 +415,48 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _run_script(source: str) -> subprocess.CompletedProcess:
+    """Run ``source`` in a new interpreter that imports this package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_a_script_with_pooled_sweeps_exits_cleanly():
     """A new worker count replaces the pool, the same count reuses it, and
     at exit the last pool is shut down: no worker is left alive and
     nothing is written to stderr."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run(
-        [sys.executable, "-c", _TWO_POOLS], env=env, capture_output=True, text=True, timeout=60
-    )
+    run = _run_script(_TWO_POOLS)
     assert (run.returncode, run.stderr) == (0, "")
     pids = [int(pid) for pid in run.stdout.split()]
     # two workers, then three that serve both sweeps at jobs=3
     assert len(pids) == 5
     assert not [pid for pid in pids if _alive(pid)]
+
+
+_PATCHED_POOL = """\
+from pirates_treasure.theory import check_distinguishing, sweeps
+
+real = sweeps._context
+
+
+def context(wt):
+    return real(wt)
+
+
+sweeps._context = context
+assert check_distinguishing(trials=600, jobs=2).passed
+"""
+
+
+def test_a_script_that_patches_a_sweep_exits_cleanly():
+    """A pool whose sweep used a function of the script is shut down at
+    exit, before interpreter teardown could collect it and make
+    ``concurrent.futures`` write to stderr."""
+    run = _run_script(_PATCHED_POOL)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def _report_and_block_count(monkeypatch, sweep, kwargs):
@@ -489,17 +517,33 @@ def test_block_edges_keep_the_violation_order(monkeypatch):
         (
             check_no_p_positions,
             dict(max_exhaustive_n=8),
-            "pt-x sweep supports max_exhaustive_n <= 7, got 8",
+            "max_exhaustive_n must be at most 7, got 8",
         ),
         (
             check_no_n_positions,
             dict(max_exhaustive_n=8),
-            "pt-negx sweep supports max_exhaustive_n <= 7, got 8",
+            "max_exhaustive_n must be at most 7, got 8",
         ),
         (
             check_self_sum_tie,
             dict(max_exhaustive_n=8),
-            "self-sum sweep supports max_exhaustive_n <= 7, got 8",
+            "max_exhaustive_n must be at most 7, got 8",
+        ),
+        # a negative exhaustive size is refused, not read as no size
+        (
+            check_no_p_positions,
+            dict(max_exhaustive_n=-1),
+            "max_exhaustive_n must be at least 0, got -1",
+        ),
+        (
+            check_no_n_positions,
+            dict(max_exhaustive_n=-1),
+            "max_exhaustive_n must be at least 0, got -1",
+        ),
+        (
+            check_self_sum_tie,
+            dict(max_exhaustive_n=-1),
+            "max_exhaustive_n must be at least 0, got -1",
         ),
         (check_outcome_table, dict(trials=-3), "trials must be at least 1, got -3"),
         (check_outcome_table, dict(trials=0), "trials must be at least 1, got 0"),
